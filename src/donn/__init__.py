@@ -29,14 +29,7 @@ from .hibl import (
     reconstruct_phase,
     recording_reference,
 )
-from .network import (
-    ForwardTrace,
-    OpticalNetwork,
-    PhaseLayer,
-    apply_phase,
-    forward,
-    random_init,
-)
+from .network import OpticalNetwork, PhaseLayer, random_init
 from .propagation import (
     TransferFunction,
     adjoint_propagate,
@@ -48,10 +41,7 @@ from .propagation import (
 from .readout import (
     DegenerateScoresError,
     DetectorLayout,
-    class_scores,
     default_detector_layout,
-    measure,
-    predict,
     softmax_cross_entropy,
 )
 from .training import (

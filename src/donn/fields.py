@@ -120,31 +120,30 @@ class EncodeSpec:
             raise ValueError("target_power must be positive")
 
 
-def encode_input(image: np.ndarray, grid: GridSpec, spec: EncodeSpec) -> ComplexField:
-    """Encode an image in [0, 1] as a power-normalized coherent field.
+def encode_batch(
+    images: np.ndarray, grid: GridSpec, spec: EncodeSpec
+) -> np.ndarray:
+    """Encode a stack of images in [0, 1] as power-normalized coherent fields.
 
     The amplitude at each embedded pixel is proportional to the square
     root of the pixel value (field amplitude encodes intensity), carries
-    the constant encoding phase, and the whole field is scaled so its
-    total power equals ``spec.target_power``. Pixels outside the image
-    footprint are zero.
+    the constant encoding phase, and every field is scaled so its total
+    power equals ``spec.target_power``. Pixels outside the image
+    footprint are zero. Returns complex values shaped (batch, ny, nx).
 
     Raises:
-        ValueError: if the image is identically zero (normalization is
-            undefined), has values outside [0, 1], or its upsampled
-            footprint does not fit in the grid.
+        ValueError: if an image is identically zero (normalization is
+            undefined; the message names the sample), has values outside
+            [0, 1], or the upsampled footprint does not fit in the grid.
     """
-    img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 2:
-        raise ValueError(f"expected a 2-D image, got shape {img.shape}")
-    if img.min() < 0.0 or img.max() > 1.0:
+    imgs = np.asarray(images, dtype=np.float64)
+    if imgs.ndim != 3:
+        raise ValueError(f"expected (batch, h, w) images, got {imgs.shape}")
+    if imgs.max() > 1.0 or imgs.min() < 0.0:
         raise ValueError("image values must lie in [0, 1]")
-    if not img.any():
-        raise ValueError("degenerate input: zero total power")
-
     if spec.upsample > 1:
-        img = np.repeat(np.repeat(img, spec.upsample, axis=0), spec.upsample, axis=1)
-    h, w = img.shape
+        imgs = np.repeat(np.repeat(imgs, spec.upsample, axis=1), spec.upsample, axis=2)
+    b, h, w = imgs.shape
     if spec.offset is None:
         x0 = (grid.nx - w) // 2
         y0 = (grid.ny - h) // 2
@@ -155,13 +154,20 @@ def encode_input(image: np.ndarray, grid: GridSpec, spec: EncodeSpec) -> Complex
             f"image footprint {w}x{h} at offset ({x0}, {y0}) exceeds "
             f"grid {grid.nx}x{grid.ny}"
         )
+    amp = np.sqrt(imgs)
+    power = np.einsum("bij,bij->b", amp, amp)
+    blank = np.flatnonzero(power == 0.0)
+    if blank.size:
+        raise ValueError(f"degenerate input: zero total power in sample {blank[0]}")
+    amp *= np.sqrt(spec.target_power / power)[:, None, None]
+    values = np.zeros((b, grid.ny, grid.nx), dtype=np.complex128)
+    values[:, y0 : y0 + h, x0 : x0 + w] = amp * np.exp(1j * spec.phase)
+    return values
 
-    values = np.zeros(grid.shape, dtype=np.complex128)
-    amp = np.sqrt(img)
-    values[y0 : y0 + h, x0 : x0 + w] = amp * np.exp(1j * spec.phase)
-    power = np.sum(values.real**2 + values.imag**2)
-    values *= np.sqrt(spec.target_power / power)
-    return ComplexField(grid, values)
+
+def encode_input(image: np.ndarray, grid: GridSpec, spec: EncodeSpec) -> ComplexField:
+    """Encode one (h, w) image in [0, 1]: :func:`encode_batch` on a batch of one."""
+    return ComplexField(grid, encode_batch(np.asarray(image)[None], grid, spec)[0])
 
 
 def total_power(field: ComplexField) -> float:

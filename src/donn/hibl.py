@@ -27,7 +27,6 @@ from typing import Callable, Union
 import numpy as np
 import scipy.fft as _fft
 
-from . import kernels
 from .fields import GridSpec, frequency_coordinates, wrap_phase
 from .network import OpticalNetwork, PhaseLayer
 
@@ -163,9 +162,8 @@ def encode_hologram(layer: PhaseLayer, ref: ReferenceSpec) -> Hologram:
     """Record a phase profile as an off-axis interference pattern."""
     ref.check_nyquist(layer.grid)
     theta = carrier_phase_field(layer.grid, ref)
-    h = kernels.hologram_fringe(
-        layer.phase, theta, ref.object_amplitude, ref.reference_amplitude
-    )
+    a_o, a_r = ref.object_amplitude, ref.reference_amplitude
+    h = a_o * a_o + a_r * a_r + 2.0 * a_o * a_r * np.cos(layer.phase - theta)
     return Hologram(layer.grid, h)
 
 
@@ -259,7 +257,8 @@ def fabricate(
         raise TypeError(f"cannot fabricate from {type(element).__name__}")
 
     if model.quant_levels is not None:
-        phase = kernels.quantize_phase(phase, model.quant_levels)
+        step = TWO_PI / model.quant_levels
+        phase = (np.floor(phase / step + 0.5) % model.quant_levels) * step
     if model.phase_noise_sigma > 0.0:
         rng = np.random.default_rng(model.seed)
         phase = phase + model.phase_noise_sigma * rng.standard_normal(phase.shape)

@@ -1,209 +1,30 @@
-"""Hot numeric kernels with paired numba and pure-numpy implementations.
+"""Elementwise kernels of the batched engine, arrays shaped (batch, ny, nx).
 
-Every kernel exists twice: a plain numpy version and a numba ``@njit``
-version that fuses the elementwise work and avoids temporaries. Which set
-is exported is decided once at import time:
-
-* ``DONN_NUMBA=0`` (or ``false``/``off``) in the environment forces the
-  numpy path;
-* otherwise numba is used when importable, numpy when not.
-
-The FFT stages of propagation are not here: numba has no FFT support and
-pocketfft is already compiled code, so only the elementwise and reduction
-stages benefit from fusion. All batch reductions run in fixed sample
-order, so results are bit-reproducible regardless of backend.
-
-``benchmarks/bench_kernels.py`` compares the two paths on
-training-shaped arrays.
+The FFT stages of propagation live in :mod:`donn.propagation`. The phase
+gradient reduces over the batch in a fixed sample order, so results are
+bit-reproducible.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-TWO_PI = 2.0 * np.pi
 
-_env = os.environ.get("DONN_NUMBA", "").strip().lower()
-if _env in ("0", "false", "off", "no"):
-    USE_NUMBA = False
-else:
-    try:
-        from numba import njit
+def apply_phase(field, phase, sign):
+    """Multiply by ``exp(j*sign*phase)``.
 
-        USE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        USE_NUMBA = False
-
-
-def backend() -> str:
-    """Name of the active kernel backend, ``"numba"`` or ``"numpy"``."""
-    return "numba" if USE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
-
-
-def _apply_phase_np(field, phase, sign):
+    ``phase`` is one (ny, nx) mask shared by the batch, or one
+    (batch, ny, nx) mask per sample under noise injection.
+    """
     return field * np.exp(1j * sign * phase)
 
 
-def _apply_phase_per_sample_np(field, phase, sign):
-    return field * np.exp(1j * sign * phase)
-
-
-def _intensity_np(field):
+def intensity(field):
+    """Photodetector intensity ``|U|**2``."""
     return field.real**2 + field.imag**2
 
 
-def _phase_gradient_np(post_field, adjoint_field):
+def phase_gradient(post_field, adjoint_field):
+    """Batch-summed d(loss)/d(phase) from post-modulation and adjoint fields."""
     prod = post_field * np.conj(adjoint_field)
     return -2.0 * prod.imag.sum(axis=0)
-
-
-def _adam_update_np(phase, grad, m, v, t, lr, beta1, beta2, eps):
-    m *= beta1
-    m += (1.0 - beta1) * grad
-    v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    phase -= lr * m_hat / (np.sqrt(v_hat) + eps)
-    np.mod(phase, TWO_PI, out=phase)
-    phase[phase >= TWO_PI] -= TWO_PI
-
-
-def _quantize_phase_np(phase, levels):
-    step = TWO_PI / levels
-    q = np.floor(phase / step + 0.5)
-    return (q % levels) * step
-
-
-def _hologram_fringe_np(phase, carrier_phase, a_obj, a_ref):
-    dc = a_obj * a_obj + a_ref * a_ref
-    return dc + 2.0 * a_obj * a_ref * np.cos(phase - carrier_phase)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _apply_phase_nb(field, phase, sign):
-        b, ny, nx = field.shape
-        mult = np.empty((ny, nx), dtype=np.complex128)
-        for iy in range(ny):
-            for ix in range(nx):
-                p = sign * phase[iy, ix]
-                mult[iy, ix] = complex(np.cos(p), np.sin(p))
-        out = np.empty_like(field)
-        for ib in range(b):
-            for iy in range(ny):
-                for ix in range(nx):
-                    out[ib, iy, ix] = field[ib, iy, ix] * mult[iy, ix]
-        return out
-
-    @njit(cache=True)
-    def _apply_phase_per_sample_nb(field, phase, sign):
-        b, ny, nx = field.shape
-        out = np.empty_like(field)
-        for ib in range(b):
-            for iy in range(ny):
-                for ix in range(nx):
-                    p = sign * phase[ib, iy, ix]
-                    out[ib, iy, ix] = field[ib, iy, ix] * complex(
-                        np.cos(p), np.sin(p)
-                    )
-        return out
-
-    @njit(cache=True)
-    def _intensity_nb(field):
-        b, ny, nx = field.shape
-        out = np.empty((b, ny, nx), dtype=np.float64)
-        for ib in range(b):
-            for iy in range(ny):
-                for ix in range(nx):
-                    z = field[ib, iy, ix]
-                    out[ib, iy, ix] = z.real * z.real + z.imag * z.imag
-        return out
-
-    @njit(cache=True)
-    def _phase_gradient_nb(post_field, adjoint_field):
-        b, ny, nx = post_field.shape
-        out = np.empty((ny, nx), dtype=np.float64)
-        for iy in range(ny):
-            for ix in range(nx):
-                acc = 0.0
-                for ib in range(b):
-                    z = post_field[ib, iy, ix] * np.conj(adjoint_field[ib, iy, ix])
-                    acc += z.imag
-                out[iy, ix] = -2.0 * acc
-        return out
-
-    @njit(cache=True)
-    def _adam_update_nb(phase, grad, m, v, t, lr, beta1, beta2, eps):
-        c1 = 1.0 - beta1**t
-        c2 = 1.0 - beta2**t
-        pf = phase.ravel()
-        gf = grad.ravel()
-        mf = m.ravel()
-        vf = v.ravel()
-        for i in range(pf.size):
-            g = gf[i]
-            mf[i] = beta1 * mf[i] + (1.0 - beta1) * g
-            vf[i] = beta2 * vf[i] + (1.0 - beta2) * g * g
-            step = lr * (mf[i] / c1) / (np.sqrt(vf[i] / c2) + eps)
-            p = (pf[i] - step) % TWO_PI
-            if p >= TWO_PI:
-                p -= TWO_PI
-            pf[i] = p
-
-    @njit(cache=True)
-    def _quantize_phase_nb(phase, levels):
-        step = TWO_PI / levels
-        out = np.empty_like(phase)
-        pf = phase.ravel()
-        of = out.ravel()
-        for i in range(pf.size):
-            q = np.floor(pf[i] / step + 0.5)
-            of[i] = (q % levels) * step
-        return out
-
-    @njit(cache=True)
-    def _hologram_fringe_nb(phase, carrier_phase, a_obj, a_ref):
-        dc = a_obj * a_obj + a_ref * a_ref
-        fringe = 2.0 * a_obj * a_ref
-        out = np.empty_like(phase)
-        pf = phase.ravel()
-        cf = carrier_phase.ravel()
-        of = out.ravel()
-        for i in range(pf.size):
-            of[i] = dc + fringe * np.cos(pf[i] - cf[i])
-        return out
-
-
-# ---------------------------------------------------------------------------
-# exported bindings
-# ---------------------------------------------------------------------------
-
-if USE_NUMBA:
-    apply_phase = _apply_phase_nb
-    apply_phase_per_sample = _apply_phase_per_sample_nb
-    intensity = _intensity_nb
-    phase_gradient = _phase_gradient_nb
-    adam_update = _adam_update_nb
-    quantize_phase = _quantize_phase_nb
-    hologram_fringe = _hologram_fringe_nb
-else:
-    apply_phase = _apply_phase_np
-    apply_phase_per_sample = _apply_phase_per_sample_np
-    intensity = _intensity_np
-    phase_gradient = _phase_gradient_np
-    adam_update = _adam_update_np
-    quantize_phase = _quantize_phase_np
-    hologram_fringe = _hologram_fringe_np

@@ -4,7 +4,7 @@ A layer multiplies the incident field pointwise by ``exp(j*phase)``; the
 network alternates layers with free-space propagation over fixed
 distances. The whole stack is linear in the complex field amplitude, and
 since every stage is unit-modulus or power-preserving it never adds
-power.
+power. The batched forward and adjoint passes live in :mod:`donn.training`.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-from .fields import ComplexField, GridSpec, check_same_grid, wrap_phase
-from .propagation import cached_transfer_function, propagate_array
+from .fields import GridSpec, wrap_phase
 
 TWO_PI = 2.0 * np.pi
 
@@ -88,54 +86,6 @@ class OpticalNetwork:
         """Same geometry, new phase values (wrapped)."""
         layers = tuple(PhaseLayer(self.grid, wrap_phase(p)) for p in phases)
         return OpticalNetwork(self.grid, layers, self.distances, self.input_distance)
-
-
-@dataclass(frozen=True)
-class ForwardTrace:
-    """Intermediate fields cached by a traced forward pass.
-
-    ``pre_modulation_fields[i]`` is the field arriving at layer i, which
-    is what the adjoint pass needs to turn an output sensitivity into
-    per-pixel phase sensitivities.
-    """
-
-    pre_modulation_fields: tuple[ComplexField, ...]
-    output_field: ComplexField
-
-
-def apply_phase(field: ComplexField, layer: PhaseLayer) -> ComplexField:
-    """Multiply a field pointwise by ``exp(j*phase)``.
-
-    Pointwise magnitudes are preserved exactly (unit-modulus multiplier).
-    """
-    check_same_grid(field, layer)
-    out = kernels.apply_phase(field.values[None, :, :], layer.phase, 1.0)[0]
-    return ComplexField(field.grid, out)
-
-
-def forward(
-    net: OpticalNetwork, field: ComplexField, record_trace: bool = False
-) -> tuple[ComplexField, ForwardTrace | None]:
-    """Run a field through the full modulate-propagate stack.
-
-    Returns the detector-plane field and, when ``record_trace`` is set,
-    a :class:`ForwardTrace` holding the field immediately before each
-    layer.
-    """
-    check_same_grid(field, net)
-    values = field.values[None, :, :]
-    pre = []
-    if net.input_distance > 0.0:
-        tf = cached_transfer_function(net.grid, net.input_distance)
-        values = propagate_array(values, tf)
-    for layer, dist in zip(net.layers, net.distances):
-        if record_trace:
-            pre.append(ComplexField(net.grid, values[0].copy()))
-        values = kernels.apply_phase(values, layer.phase, 1.0)
-        values = propagate_array(values, cached_transfer_function(net.grid, dist))
-    out = ComplexField(net.grid, values[0])
-    trace = ForwardTrace(tuple(pre), out) if record_trace else None
-    return out, trace
 
 
 def random_init(

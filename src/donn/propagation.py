@@ -89,26 +89,42 @@ def cached_transfer_function(grid: GridSpec, distance: float) -> TransferFunctio
     return transfer_function(grid, distance)
 
 
-def propagate(field: ComplexField, tf: TransferFunction) -> ComplexField:
-    """Apply angular-spectrum propagation to a field.
+def propagate_array(values: np.ndarray, tf: TransferFunction) -> np.ndarray:
+    """Angular-spectrum propagation of a stack of fields, shape (batch, ny, nx).
 
     Zero distance returns the input bit-for-bit up to FFT rounding.
-    Boundary conditions are periodic, inherited from the DFT.
+    Boundary conditions are periodic, inherited from the DFT. Shapes are
+    not validated; :func:`propagate` is the checked single-field view.
     """
+    return _ifft2(_fft2(values) * tf.values)
+
+
+def adjoint_propagate_array(values: np.ndarray, tf: TransferFunction) -> np.ndarray:
+    """Adjoint of :func:`propagate_array` for the same transfer function.
+
+    Same FFT sandwich with the conjugated multipliers, satisfying
+    ``<propagate_array(a), b> = <a, adjoint_propagate_array(b)>`` in the discrete
+    complex inner product. On bandlimited fields it inverts propagation
+    (unitarity on propagating modes).
+    """
+    return _ifft2(_fft2(values) * np.conj(tf.values))
+
+
+def propagate(field: ComplexField, tf: TransferFunction) -> ComplexField:
+    """:func:`propagate_array` on one field, checking that the grids match."""
     check_same_grid(field, tf)
-    return ComplexField(field.grid, _ifft2(_fft2(field.values) * tf.values))
+    return ComplexField(field.grid, propagate_array(field.values[None], tf)[0])
 
 
 def adjoint_propagate(field: ComplexField, tf: TransferFunction) -> ComplexField:
-    """Apply the adjoint of :func:`propagate` for the same transfer function.
-
-    Same FFT sandwich with the conjugated multipliers, satisfying
-    ``<propagate(a), b> = <a, adjoint_propagate(b)>`` in the discrete
-    complex inner product. On bandlimited fields it inverts
-    :func:`propagate` (unitarity on propagating modes).
-    """
+    """:func:`adjoint_propagate_array` on one field, checking that the grids match."""
     check_same_grid(field, tf)
-    return ComplexField(field.grid, _ifft2(_fft2(field.values) * np.conj(tf.values)))
+    return ComplexField(field.grid, adjoint_propagate_array(field.values[None], tf)[0])
+
+
+def propagating_mask(grid: GridSpec) -> np.ndarray:
+    """Boolean DFT-order mask of strictly propagating frequencies."""
+    return _squared_frequency_grid(grid) < 1.0 / grid.wavelength**2
 
 
 def bandlimit_to_propagating(field: ComplexField) -> ComplexField:
@@ -117,22 +133,5 @@ def bandlimit_to_propagating(field: ComplexField) -> ComplexField:
     Spectral components with ``fx**2 + fy**2 >= 1/wavelength**2`` are set
     to zero; the rest pass unchanged. Idempotent.
     """
-    mask = _squared_frequency_grid(field.grid) < 1.0 / field.grid.wavelength**2
+    mask = propagating_mask(field.grid)
     return ComplexField(field.grid, _ifft2(_fft2(field.values) * mask))
-
-
-def propagating_mask(grid: GridSpec) -> np.ndarray:
-    """Boolean DFT-order mask of strictly propagating frequencies."""
-    return _squared_frequency_grid(grid) < 1.0 / grid.wavelength**2
-
-
-# Array-level batched variants used by the training engine. They skip the
-# per-call ComplexField validation; shapes are (batch, ny, nx).
-
-
-def propagate_array(values: np.ndarray, tf: TransferFunction) -> np.ndarray:
-    return _ifft2(_fft2(values) * tf.values)
-
-
-def adjoint_propagate_array(values: np.ndarray, tf: TransferFunction) -> np.ndarray:
-    return _ifft2(_fft2(values) * np.conj(tf.values))

@@ -1,4 +1,4 @@
-"""Detector-plane measurement, class scores, decision rule, and loss head.
+"""Detector layouts, class scores, and the loss head.
 
 The only nonlinearity in the whole pipeline is photodetection: measured
 intensity is ``|U|**2``. A class score is the intensity integrated over
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ComplexField, GridSpec
+from .fields import GridSpec
 
 Rect = tuple[int, int, int, int]
 
@@ -75,33 +75,17 @@ def default_detector_layout(grid: GridSpec, n_classes: int = 10) -> DetectorLayo
     return DetectorLayout(grid, tuple(regions))
 
 
-def measure(field: ComplexField) -> np.ndarray:
-    """Photodetector intensity ``|U|**2``, pointwise and nonnegative."""
-    return field.intensity()
+def batch_class_scores(intensity: np.ndarray, layout: DetectorLayout) -> np.ndarray:
+    """Sum a stack of intensity maps over each detector region.
 
-
-def class_scores(intensity: np.ndarray, layout: DetectorLayout) -> np.ndarray:
-    """Sum the intensity over each detector region.
-
-    Returns one nonnegative score per class; because regions are disjoint
-    the scores never sum to more than the total detector-plane power.
+    Returns shape (batch, classes). Scores are nonnegative, and because
+    regions are disjoint they never sum to more than a map's total power.
     """
-    intensity = np.asarray(intensity)
-    if intensity.shape != layout.grid.shape:
+    if intensity.shape[1:] != layout.grid.shape:
         raise ValueError(
             f"intensity shape {intensity.shape} does not match "
             f"layout grid {layout.grid.shape}"
         )
-    return np.array(
-        [
-            intensity[y0 : y1 + 1, x0 : x1 + 1].sum()
-            for (x0, y0, x1, y1) in layout.regions
-        ]
-    )
-
-
-def batch_class_scores(intensity: np.ndarray, layout: DetectorLayout) -> np.ndarray:
-    """Region sums for a stack of intensity maps, shape (batch, classes)."""
     return np.stack(
         [
             intensity[:, y0 : y1 + 1, x0 : x1 + 1].sum(axis=(1, 2))
@@ -111,68 +95,63 @@ def batch_class_scores(intensity: np.ndarray, layout: DetectorLayout) -> np.ndar
     )
 
 
-def predict(scores: np.ndarray) -> int:
-    """Argmax over classes; ties break toward the lowest class index."""
-    return int(np.argmax(scores))
-
-
 class DegenerateScoresError(ValueError):
     """All detector regions received zero energy; the loss is undefined."""
 
 
 def softmax_cross_entropy(
     scores: np.ndarray,
-    label: int,
+    labels: np.ndarray,
     temperature: float = 0.1,
     normalize: bool = True,
-) -> tuple[float, np.ndarray]:
-    """Cross-entropy loss on detector scores, with its exact gradient.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample cross-entropy on detector scores, with its exact gradient.
 
-    With ``normalize`` set (the default), scores are first divided by
-    their sum so the loss is invariant to overall input power, then
-    scaled by ``1/temperature`` and passed through a softmax:
-    ``loss = -log softmax(s / sum(s) / T)[label]``. The returned gradient
-    is the exact derivative of that loss with respect to the raw input
-    scores, including the normalization term, which is what downstream
-    chain rules and finite differences see. Without normalization the
-    gradient is the plain ``(softmax - onehot) / T``, whose entries sum
-    to zero.
+    ``scores`` has shape (batch, classes) and ``labels`` shape (batch,).
+    With ``normalize`` set (the default), each row of scores is first
+    divided by its sum so the loss is invariant to overall input power,
+    then scaled by ``1/temperature`` and passed through a softmax:
+    ``loss = -log softmax(s / sum(s) / T)[label]``. The returned gradient,
+    shape (batch, classes), is the exact derivative of each row's loss
+    with respect to its raw scores, including the normalization term,
+    which is what downstream chain rules and finite differences see.
+    Without normalization the gradient is the plain
+    ``(softmax - onehot) / T``, whose rows sum to zero.
 
     Raises:
-        IndexError: label outside [0, n_classes).
+        IndexError: a label outside [0, n_classes).
         ValueError: non-positive temperature.
-        DegenerateScoresError: normalization requested but all scores
-            are zero (no energy reached any detector).
+        DegenerateScoresError: normalization requested but all scores of
+            a sample are zero (no energy reached any detector).
     """
-    s = np.asarray(scores, dtype=np.float64)
-    n = s.shape[0]
-    if not 0 <= label < n:
-        raise IndexError(f"label {label} out of range for {n} classes")
+    b, n = scores.shape
+    labels = np.asarray(labels)
+    bad = np.flatnonzero((labels < 0) | (labels >= n))
+    if bad.size:
+        raise IndexError(
+            f"label {labels[bad[0]]} of sample {bad[0]} out of range for {n} classes"
+        )
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-
+    rows = np.arange(b)
     if normalize:
-        total = s.sum()
-        if total <= 0.0:
+        totals = scores.sum(axis=1)
+        if np.any(totals <= 0.0):
             raise DegenerateScoresError(
                 "degenerate scores: no detector region received energy"
             )
-        s_hat = s / total
+        s_hat = scores / totals[:, None]
     else:
-        s_hat = s
-
+        s_hat = scores
     z = s_hat / temperature
-    z = z - z.max()  # shift-invariant, avoids overflow
+    z = z - z.max(axis=1, keepdims=True)  # shift-invariant, avoids overflow
     e = np.exp(z)
-    p = e / e.sum()
-    loss = -float(np.log(p[label]))
-
-    grad_hat = p.copy()
-    grad_hat[label] -= 1.0
-    grad_hat /= temperature
+    p = e / e.sum(axis=1, keepdims=True)
+    losses = -np.log(p[rows, labels])
+    grad = p.copy()
+    grad[rows, labels] -= 1.0
+    grad /= temperature
     if normalize:
         # d(s/total)/ds picks up the projection along the score vector
-        grad = (grad_hat - np.dot(grad_hat, s_hat)) / total
-    else:
-        grad = grad_hat
-    return loss, grad
+        grad = (grad - np.einsum("bc,bc->b", grad, s_hat)[:, None]) / totals[:, None]
+    return losses, grad

@@ -19,12 +19,10 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import kernels
-from .fields import ComplexField, EncodeSpec, GridSpec
+from .fields import ComplexField, EncodeSpec, GridSpec, encode_batch
 from .network import OpticalNetwork, random_init
 from .propagation import adjoint_propagate_array, cached_transfer_function, propagate_array
-from .readout import DegenerateScoresError, DetectorLayout, batch_class_scores
-
-TWO_PI = 2.0 * np.pi
+from .readout import DetectorLayout, batch_class_scores, softmax_cross_entropy
 
 # Encoding used when none is supplied: 28x28 inputs upsampled 3x and
 # centered, leaving a zero border that damps periodic wrap-around.
@@ -73,6 +71,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.base_lr <= 0:
             raise ValueError("base_lr must be positive")
+        if self.temperature <= 0:
+            raise ValueError("temperature must be positive")
         if self.phase_noise_sigma < 0:
             raise ValueError("phase_noise_sigma must be >= 0")
         if self.eval_every < 1:
@@ -127,39 +127,6 @@ def cosine_lr(epoch: int, total_epochs: int, base_lr: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def encode_batch(
-    images: np.ndarray, grid: GridSpec, spec: EncodeSpec
-) -> np.ndarray:
-    """Vectorized square-root encoding of a stack of images in [0, 1].
-
-    Mirrors :func:`donn.fields.encode_input` sample by sample; every
-    output field is normalized to ``spec.target_power``.
-    """
-    imgs = np.asarray(images, dtype=np.float64)
-    if imgs.ndim != 3:
-        raise ValueError(f"expected (batch, h, w) images, got {imgs.shape}")
-    if imgs.max() > 1.0 or imgs.min() < 0.0:
-        raise ValueError("image values must lie in [0, 1]")
-    if spec.upsample > 1:
-        imgs = np.repeat(np.repeat(imgs, spec.upsample, axis=1), spec.upsample, axis=2)
-    b, h, w = imgs.shape
-    if spec.offset is None:
-        x0 = (grid.nx - w) // 2
-        y0 = (grid.ny - h) // 2
-    else:
-        x0, y0 = spec.offset
-    if x0 < 0 or y0 < 0 or x0 + w > grid.nx or y0 + h > grid.ny:
-        raise ValueError("image footprint exceeds grid")
-    amp = np.sqrt(imgs)
-    power = np.einsum("bij,bij->b", amp, amp)
-    if np.any(power == 0.0):
-        raise ValueError("degenerate input: zero total power")
-    amp *= np.sqrt(spec.target_power / power)[:, None, None]
-    values = np.zeros((b, grid.ny, grid.nx), dtype=np.complex128)
-    values[:, y0 : y0 + h, x0 : x0 + w] = amp * np.exp(1j * spec.phase)
-    return values
-
-
 def _forward_batch(
     net: OpticalNetwork,
     values: np.ndarray,
@@ -182,47 +149,15 @@ def _forward_batch(
     post_fields: list[np.ndarray] = []
     eff_phases: list[np.ndarray] = []
     for layer, dist in zip(net.layers, net.distances):
+        eff = layer.phase
         if noise_sigma > 0.0:
-            eff = layer.phase[None, :, :] + noise_sigma * noise_rng.standard_normal(
-                values.shape
-            )
-            values = kernels.apply_phase_per_sample(values, eff, 1.0)
-        else:
-            eff = layer.phase
-            values = kernels.apply_phase(values, eff, 1.0)
+            eff = eff[None, :, :] + noise_sigma * noise_rng.standard_normal(values.shape)
+        values = kernels.apply_phase(values, eff, 1.0)
         if keep_post:
             post_fields.append(values)
             eff_phases.append(eff)
         values = propagate_array(values, cached_transfer_function(grid, dist))
     return values, post_fields, eff_phases
-
-
-def _batch_cross_entropy(
-    scores: np.ndarray, labels: np.ndarray, temperature: float, normalize: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized loss and exact d(loss)/d(scores), shapes (B,) and (B, C)."""
-    b = scores.shape[0]
-    rows = np.arange(b)
-    if normalize:
-        totals = scores.sum(axis=1)
-        if np.any(totals <= 0.0):
-            raise DegenerateScoresError(
-                "degenerate scores: no detector region received energy"
-            )
-        s_hat = scores / totals[:, None]
-    else:
-        s_hat = scores
-    z = s_hat / temperature
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
-    losses = -np.log(p[rows, labels])
-    grad = p.copy()
-    grad[rows, labels] -= 1.0
-    grad /= temperature
-    if normalize:
-        grad = (grad - np.einsum("bc,bc->b", grad, s_hat)[:, None]) / totals[:, None]
-    return losses, grad
 
 
 def _pixel_sensitivity(
@@ -252,7 +187,7 @@ def _loss_and_gradients_batch(
     b = values.shape[0]
     intensity = kernels.intensity(out)
     scores = batch_class_scores(intensity, layout)
-    losses, dl_ds = _batch_cross_entropy(scores, labels, temperature, normalize)
+    losses, dl_ds = softmax_cross_entropy(scores, labels, temperature, normalize)
 
     # Seed of the adjoint pass: dL/dU* = (dL/dI) * U at the detector plane.
     adjoint = _pixel_sensitivity(dl_ds, layout, out.shape) * out
@@ -263,11 +198,7 @@ def _loss_and_gradients_batch(
         adjoint = adjoint_propagate_array(adjoint, tf)
         grads[idx] = kernels.phase_gradient(post_fields[idx], adjoint) / b
         if idx > 0:
-            eff = eff_phases[idx]
-            if eff.ndim == 3:
-                adjoint = kernels.apply_phase_per_sample(adjoint, eff, -1.0)
-            else:
-                adjoint = kernels.apply_phase(adjoint, eff, -1.0)
+            adjoint = kernels.apply_phase(adjoint, eff_phases[idx], -1.0)
     return float(losses.mean()), grads, scores
 
 
@@ -328,10 +259,19 @@ def adam_step(
         g = np.asarray(grads[i], dtype=np.float64)
         if g.shape != net.grid.shape:
             raise ValueError(f"gradient {i} shape {g.shape} != {net.grid.shape}")
+        # The new phase is allocated before the update's temporaries and
+        # updated in place: allocated after them, it can land above freed
+        # batch-sized blocks and keep the heap from shrinking after
+        # training, which swings the peak memory of a later evaluation.
         p = layer.phase.copy()
-        kernels.adam_update(
-            p, g, new_state.m[i], new_state.v[i], new_state.t, lr, beta1, beta2, eps
-        )
+        m, v = new_state.m[i], new_state.v[i]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1**new_state.t)
+        v_hat = v / (1.0 - beta2**new_state.t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
         phases.append(p)
     return net.with_phases(phases), new_state
 

@@ -40,20 +40,12 @@ def report(ok: bool, name: str, detail: str) -> None:
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # first numba call may compile; keep that out of the timed sections
+    # keep first-call costs out of the timed sections
     grid = GridSpec(8, 8, 1e-6, 0.5e-7)
     net = random_init(grid, 1, [1e-6], seed=0)
     layout = DetectorLayout(grid, ((0, 0, 3, 3), (4, 4, 7, 7)))
     field = ComplexField(grid, np.ones(grid.shape, dtype=complex))
     loss_and_gradients(net, field, 0, layout)
-    from donn import kernels
-
-    kernels.quantize_phase(np.zeros((4, 4)), 4)
-    kernels.hologram_fringe(np.zeros((4, 4)), np.zeros((4, 4)), 1.0, 1.0)
-    kernels.adam_update(
-        np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4)),
-        1, 0.1, 0.9, 0.999, 1e-8,
-    )
 
 
 def test_criterion_1_gaussian_beam_oracle():

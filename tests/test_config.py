@@ -65,6 +65,8 @@ def test_out_of_range_values_fail_before_compute():
         parse_config("network.layers = 2\nnetwork.distances = 0.01,0.02,0.03\n")
     with pytest.raises(ValueError):
         parse_config("hibl.quant_levels = 1\n")
+    with pytest.raises(ValueError, match="temperature"):
+        parse_config("train.temperature = 0\n")
 
 
 def test_explicit_detector_regions():

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+import synthdigits
 from donn.fields import (
+    DEFAULT_GRID,
     ComplexField,
     EncodeSpec,
     GridSpec,
+    encode_batch,
     encode_input,
     frequency_coordinates,
     total_power,
@@ -60,6 +63,22 @@ def test_encode_zero_image_rejected():
     g = GridSpec(8, 8, 1e-6, 5e-7)
     with pytest.raises(ValueError, match="zero total power"):
         encode_input(np.zeros((8, 8)), g, EncodeSpec())
+
+
+def test_encode_blank_sample_in_batch_named():
+    digit = synthdigits.render_digit(3, np.random.default_rng(0)) / 255.0
+    batch = np.stack([digit, np.zeros_like(digit)])
+    with pytest.raises(ValueError, match="zero total power in sample 1"):
+        encode_batch(batch, DEFAULT_GRID, EncodeSpec(upsample=3))
+
+
+def test_encode_input_is_a_batch_of_one():
+    rng = np.random.default_rng(9)
+    images = rng.uniform(0.0, 1.0, size=(3, 28, 28))
+    spec = EncodeSpec(upsample=3, phase=0.4, target_power=2.0)
+    batch = encode_batch(images, DEFAULT_GRID, spec)
+    for image, values in zip(images, batch):
+        assert np.array_equal(encode_input(image, DEFAULT_GRID, spec).values, values)
 
 
 def test_encode_footprint_must_fit():

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from donn.fields import ComplexField, GridSpec, total_power
 from donn.propagation import (
     adjoint_propagate,
+    adjoint_propagate_array,
     bandlimit_to_propagating,
     cached_transfer_function,
     propagate,
+    propagate_array,
     propagating_mask,
     transfer_function,
 )
@@ -124,6 +127,29 @@ def test_adjoint_inner_product_identity():
         lhs = np.vdot(propagate(a, tf).values, b.values)
         rhs = np.vdot(a.values, adjoint_propagate(b, tf).values)
         assert abs(lhs - rhs) / abs(lhs) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nx=st.integers(2, 25),
+    ny=st.integers(2, 25),
+    wavelength=st.floats(0.2e-6, 3e-6),
+    distance=st.floats(0.0, 60e-6),
+    batch=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_adjoint_inner_product_random_grids(nx, ny, wavelength, distance, batch, seed):
+    # <P a, b> = <a, P^H b> for the batched operators the engine runs, on
+    # odd and even grids with and without an evanescent band
+    grid = GridSpec(nx, ny, 1e-6, wavelength)
+    rng = np.random.default_rng(seed)
+    shape = (batch,) + grid.shape
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    tf = transfer_function(grid, distance)
+    lhs = np.vdot(propagate_array(a, tf), b)
+    rhs = np.vdot(a, adjoint_propagate_array(b, tf))
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(b)
 
 
 def test_forward_then_adjoint_restores_bandlimited():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import donn
-from donn.fields import ComplexField, EncodeSpec, GridSpec
+from donn.fields import ComplexField, EncodeSpec, GridSpec, encode_batch
 from donn.network import OpticalNetwork, PhaseLayer, random_init
 from donn.readout import DegenerateScoresError, DetectorLayout
 from donn.training import (
@@ -224,6 +225,41 @@ def test_noise_injection_leaves_parameters_alone():
         assert np.array_equal(prev, layer.phase)
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    nx=st.integers(3, 16),
+    ny=st.integers(3, 16),
+    depth=st.integers(1, 3),
+    batch=st.integers(2, 5),
+    input_distance=st.sampled_from([0.0, 3e-6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_forward_batch_rows_independent(nx, ny, depth, batch, input_distance, seed):
+    # a stack gives each row what a batch of one gives it; the single-sample
+    # views (loss_and_gradients, encode_input, propagate) rely on this
+    from donn.training import _forward_batch
+
+    grid = GridSpec(nx, ny, 1e-6, 0.5e-6)
+    rng = np.random.default_rng(seed)
+    net = random_init(grid, depth, list(rng.uniform(1e-6, 2e-5, depth)), seed % 1000)
+    net = OpticalNetwork(grid, net.layers, net.distances, input_distance)
+    shape = (batch,) + grid.shape
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    out, post, _ = _forward_batch(net, values, keep_post=True)
+    for i in range(batch):
+        row_out, row_post, _ = _forward_batch(net, values[i : i + 1], keep_post=True)
+        for whole, row in zip([out] + post, [row_out] + row_post):
+            assert np.abs(whole[i] - row[0]).max() <= 1e-12 * np.abs(whole[i]).max()
+
+
+def test_train_config_rejects_nonpositive_temperature():
+    # zero would divide by zero in the loss head; a negative value would
+    # silently train toward the wrong class
+    for temperature in (0.0, -0.1):
+        with pytest.raises(ValueError, match="temperature"):
+            TrainConfig(temperature=temperature)
+
+
 def test_train_empty_dataset_rejected():
     net = random_init(GRID, 1, [8e-6], seed=0)
     cfg = TrainConfig(epochs=1, batch_size=4, seed=0)
@@ -246,7 +282,7 @@ def test_evaluate_single_sample_forced_correct():
     # label the sample with whatever class its output argmax lands in;
     # accuracy is then 1.0 by construction
     from donn.readout import batch_class_scores
-    from donn.training import DEFAULT_ENCODE, _forward_batch, encode_batch
+    from donn.training import _forward_batch
 
     imgs, _ = tiny_images(1, 6)
     net = random_init(GRID, 1, [8e-6], seed=6)
@@ -290,11 +326,7 @@ def test_overfit_smoke_100_samples(dataset_dir):
 
     from donn.cli import _load_split
     from donn.readout import default_detector_layout
-    from donn.training import (
-        DEFAULT_ENCODE,
-        _loss_and_gradients_batch,
-        encode_batch,
-    )
+    from donn.training import DEFAULT_ENCODE, _loss_and_gradients_batch
 
     ds = _load_split(Path(dataset_dir), "train")
     images, labels = ds.images[:100], ds.labels[:100].astype(np.int64)
