@@ -141,9 +141,10 @@ def encode_batch(
         raise ValueError(f"expected (batch, h, w) images, got {imgs.shape}")
     if imgs.max() > 1.0 or imgs.min() < 0.0:
         raise ValueError("image values must lie in [0, 1]")
+    amp = np.sqrt(imgs)
     if spec.upsample > 1:
-        imgs = np.repeat(np.repeat(imgs, spec.upsample, axis=1), spec.upsample, axis=2)
-    b, h, w = imgs.shape
+        amp = np.repeat(np.repeat(amp, spec.upsample, axis=1), spec.upsample, axis=2)
+    b, h, w = amp.shape
     if spec.offset is None:
         x0 = (grid.nx - w) // 2
         y0 = (grid.ny - h) // 2
@@ -154,14 +155,14 @@ def encode_batch(
             f"image footprint {w}x{h} at offset ({x0}, {y0}) exceeds "
             f"grid {grid.nx}x{grid.ny}"
         )
-    amp = np.sqrt(imgs)
     power = np.einsum("bij,bij->b", amp, amp)
     blank = np.flatnonzero(power == 0.0)
     if blank.size:
         raise ValueError(f"degenerate input: zero total power in sample {blank[0]}")
-    amp *= np.sqrt(spec.target_power / power)[:, None, None]
     values = np.zeros((b, grid.ny, grid.nx), dtype=np.complex128)
-    values[:, y0 : y0 + h, x0 : x0 + w] = amp * np.exp(1j * spec.phase)
+    window = values[:, y0 : y0 + h, x0 : x0 + w]
+    np.multiply(amp, np.sqrt(spec.target_power / power)[:, None, None], out=window.real)
+    window *= np.exp(1j * spec.phase)
     return values
 
 

@@ -29,6 +29,7 @@ import scipy.fft as _fft
 
 from .fields import GridSpec, frequency_coordinates, wrap_phase
 from .network import OpticalNetwork, PhaseLayer
+from .propagation import FFT_WORKERS
 
 TWO_PI = 2.0 * np.pi
 
@@ -214,10 +215,11 @@ def reconstruct_phase(
     grid = holo.grid
     theta = carrier_phase_field(grid, ref)
     demodulated = holo.intensity * np.exp(1j * theta)
-    spectrum = _fft.fft2(demodulated)
+    spectrum = _fft.fft2(demodulated, overwrite_x=True, workers=FFT_WORKERS)
     fx, fy = frequency_coordinates(grid)
     mask = fx[None, :] ** 2 + fy[:, None] ** 2 <= window_radius**2
-    baseband = _fft.ifft2(spectrum * mask)
+    spectrum *= mask
+    baseband = _fft.ifft2(spectrum, overwrite_x=True, workers=FFT_WORKERS)
     phi = wrap_phase(np.angle(baseband))
 
     target = 0.0 if reference_phase is None else circular_mean(reference_phase)

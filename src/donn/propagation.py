@@ -18,7 +18,8 @@ would amplify evanescent components exponentially.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 
 import numpy as np
@@ -36,12 +37,25 @@ __all__ = [
 ]
 
 
-def _fft2(a: np.ndarray) -> np.ndarray:
-    return _fft.fft2(a, axes=(-2, -1))
+# Every FFT runs on all the cores this process may use; the result does
+# not depend on the count.
+FFT_WORKERS = (
+    len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1
+)
 
 
-def _ifft2(a: np.ndarray) -> np.ndarray:
-    return _fft.ifft2(a, axes=(-2, -1))
+def _spectral_multiply(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
+    """Transform the last two axes, multiply by ``multiplier``, transform back.
+
+    ``values`` is never written: the engine keeps post-modulation fields
+    for the phase gradient. The one spectrum the forward transform
+    allocates is multiplied in place and reused by the inverse.
+    """
+    spectrum = _fft.fft2(values, axes=(-2, -1), workers=FFT_WORKERS)
+    spectrum *= multiplier
+    return _fft.ifft2(spectrum, axes=(-2, -1), overwrite_x=True, workers=FFT_WORKERS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,17 +63,22 @@ class TransferFunction:
     """Spectral multipliers for one (grid, distance) pair, DFT ordering.
 
     ``values`` has unit modulus on propagating frequencies and real
-    modulus <= 1 on evanescent ones when ``distance >= 0``.
+    modulus <= 1 on evanescent ones when ``distance >= 0``; ``conjugate``
+    holds ``np.conj(values)`` for the adjoint. Both are read-only.
     """
 
     grid: GridSpec
     distance: float
     values: np.ndarray
+    conjugate: np.ndarray = dataclass_field(init=False, repr=False)
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.values, dtype=np.complex128)
         v.setflags(write=False)
+        c = np.conj(v)
+        c.setflags(write=False)
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "conjugate", c)
 
 
 def _squared_frequency_grid(grid: GridSpec) -> np.ndarray:
@@ -96,7 +115,7 @@ def propagate_array(values: np.ndarray, tf: TransferFunction) -> np.ndarray:
     Boundary conditions are periodic, inherited from the DFT. Shapes are
     not validated; :func:`propagate` is the checked single-field view.
     """
-    return _ifft2(_fft2(values) * tf.values)
+    return _spectral_multiply(values, tf.values)
 
 
 def adjoint_propagate_array(values: np.ndarray, tf: TransferFunction) -> np.ndarray:
@@ -107,7 +126,7 @@ def adjoint_propagate_array(values: np.ndarray, tf: TransferFunction) -> np.ndar
     complex inner product. On bandlimited fields it inverts propagation
     (unitarity on propagating modes).
     """
-    return _ifft2(_fft2(values) * np.conj(tf.values))
+    return _spectral_multiply(values, tf.conjugate)
 
 
 def propagate(field: ComplexField, tf: TransferFunction) -> ComplexField:
@@ -134,4 +153,4 @@ def bandlimit_to_propagating(field: ComplexField) -> ComplexField:
     to zero; the rest pass unchanged. Idempotent.
     """
     mask = propagating_mask(field.grid)
-    return ComplexField(field.grid, _ifft2(_fft2(field.values) * mask))
+    return ComplexField(field.grid, _spectral_multiply(field.values, mask))

@@ -137,6 +137,35 @@ def test_encode_target_power():
         assert total_power(f) == pytest.approx(target, rel=1e-12)
 
 
+def reference_encode(images, grid, spec):
+    # the out-of-place formula encode_batch computes without its temporaries
+    imgs = np.repeat(np.repeat(images, spec.upsample, axis=1), spec.upsample, axis=2)
+    b, h, w = imgs.shape
+    if spec.offset is None:
+        x0, y0 = (grid.nx - w) // 2, (grid.ny - h) // 2
+    else:
+        x0, y0 = spec.offset
+    amp = np.sqrt(imgs)
+    amp *= np.sqrt(spec.target_power / np.einsum("bij,bij->b", amp, amp))[:, None, None]
+    values = np.zeros((b, grid.ny, grid.nx), dtype=np.complex128)
+    values[:, y0 : y0 + h, x0 : x0 + w] = amp * np.exp(1j * spec.phase)
+    return values
+
+
+@pytest.mark.parametrize("upsample", [1, 3])
+@pytest.mark.parametrize("phase", [0.0, 0.7])
+@pytest.mark.parametrize(
+    "target_power, offset", [(1.0, None), (3.5, None), (1.0, (2, 5))]
+)
+def test_encode_batch_matches_reference_bytes(upsample, phase, target_power, offset):
+    rng = np.random.default_rng(11)
+    images = rng.uniform(0.0, 1.0, size=(4, 28, 28))
+    images[images < 0.4] = 0.0
+    spec = EncodeSpec(upsample, offset, phase, target_power)
+    expected = reference_encode(images, DEFAULT_GRID, spec)
+    assert encode_batch(images, DEFAULT_GRID, spec).tobytes() == expected.tobytes()
+
+
 def test_total_power_cases():
     g = GridSpec(4, 4, 1e-6, 5e-7)
     assert total_power(ComplexField(g, np.zeros((4, 4), dtype=complex))) == 0.0

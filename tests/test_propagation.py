@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from donn.fields import ComplexField, GridSpec, total_power
@@ -150,6 +151,31 @@ def test_adjoint_inner_product_random_grids(nx, ny, wavelength, distance, batch,
     lhs = np.vdot(propagate_array(a, tf), b)
     rhs = np.vdot(a, adjoint_propagate_array(b, tf))
     assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("nx, ny", [(16, 16), (17, 17), (91, 91), (20, 13)])
+def test_sandwich_keeps_input_and_matches_out_of_place(nx, ny):
+    # the in-place sandwich must give exactly the out-of-place transforms and
+    # never write the caller's stack (the engine reuses post-modulation fields)
+    grid = GridSpec(nx, ny, 1e-6, 0.8e-6)
+    tf = transfer_function(grid, 23e-6)
+    rng = np.random.default_rng(nx * ny)
+    shape = (3,) + grid.shape
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    before = x.copy()
+    axes = (-2, -1)
+    conj = np.conj(tf.values)
+    for op, h in ((propagate_array, tf.values), (adjoint_propagate_array, conj)):
+        expected = scipy.fft.ifft2(scipy.fft.fft2(x, axes=axes) * h, axes=axes)
+        assert np.array_equal(op(x, tf), expected)
+        assert np.array_equal(x, before)
+
+
+def test_transfer_function_cached_conjugate():
+    # built once per transfer function; the adjoint reads it on every call
+    tf = cached_transfer_function(EVANESCENT_GRID, 7e-6)
+    assert np.array_equal(tf.conjugate, np.conj(tf.values))
+    assert not tf.conjugate.flags.writeable
 
 
 def test_forward_then_adjoint_restores_bandlimited():
