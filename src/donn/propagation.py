@@ -19,6 +19,7 @@ would amplify evanescent components exponentially.
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 
@@ -45,17 +46,73 @@ FFT_WORKERS = (
     else os.cpu_count() or 1
 )
 
+# Engine stages run in chunks of CHUNK_ROWS samples on one pool of
+# FFT_WORKERS threads, started on first use. A multiple of 8 rows starts
+# every chunk at the same SIMD phase as the whole stack.
+CHUNK_ROWS = 16
 
-def _spectral_multiply(values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
-    """Transform the last two axes, multiply by ``multiplier``, transform back.
 
-    ``values`` is never written: the engine keeps post-modulation fields
-    for the phase gradient. The one spectrum the forward transform
-    allocates is multiplied in place and reused by the inverse.
+def _new_pool() -> None:
+    global _POOL
+    _POOL = ThreadPoolExecutor(FFT_WORKERS) if FFT_WORKERS > 1 else None
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
+    os.register_at_fork(after_in_child=_new_pool)
+
+
+def map_chunks(task, shape: tuple[int, ...], scratch=None) -> None:
+    """Run ``task(rows, workers, buffer)`` over ``CHUNK_ROWS``-row slices of a stack.
+
+    ``shape`` is the (batch, ny, nx) shape of the stack and ``workers`` the
+    FFT worker count for a chunk. Arrays are allocated in the calling
+    thread only: given a ``scratch`` dtype, each job reuses one one-chunk
+    ``buffer`` for its temporaries. With one worker or one chunk, the
+    chunks run in order in the calling thread, and the bytes are the same.
     """
-    spectrum = _fft.fft2(values, axes=(-2, -1), workers=FFT_WORKERS)
-    spectrum *= multiplier
-    return _fft.ifft2(spectrum, axes=(-2, -1), overwrite_x=True, workers=FFT_WORKERS)
+    n, pool = shape[0], _POOL
+    starts = range(0, n, CHUNK_ROWS)
+    jobs = 1 if pool is None else min(FFT_WORKERS, len(starts))
+    workers = FFT_WORKERS if jobs == 1 else 1
+    buffers = None
+    if scratch is not None:
+        buffers = np.empty((jobs, min(n, CHUNK_ROWS)) + tuple(shape[1:]), scratch)
+
+    def run(job):
+        for start in starts[job::jobs]:
+            buffer = None if buffers is None else buffers[job][: n - start]
+            task(slice(start, start + CHUNK_ROWS), workers, buffer)
+
+    if jobs == 1:
+        run(0)
+        return
+    futures = [pool.submit(run, job) for job in range(jobs)]
+    wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _spectral_multiply(values: np.ndarray, multiplier: np.ndarray, out=None) -> np.ndarray:
+    """Transform the last two axes of a (batch, ny, nx) stack, multiply, transform back.
+
+    ``values`` is never written unless it is ``out``: the engine keeps
+    post-modulation fields for the phase gradient. Each chunk is copied
+    into ``out`` and transformed, multiplied and transformed back there.
+    """
+    if out is None:
+        out = np.empty(values.shape, np.complex128)
+
+    def sandwich(rows, workers, _):
+        chunk = out[rows]
+        if out is not values:
+            chunk[...] = values[rows]
+        _fft.fft2(chunk, axes=(-2, -1), overwrite_x=True, workers=workers)
+        np.multiply(chunk, multiplier, out=chunk)
+        _fft.ifft2(chunk, axes=(-2, -1), overwrite_x=True, workers=workers)
+
+    map_chunks(sandwich, values.shape)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,17 +165,18 @@ def cached_transfer_function(grid: GridSpec, distance: float) -> TransferFunctio
     return transfer_function(grid, distance)
 
 
-def propagate_array(values: np.ndarray, tf: TransferFunction) -> np.ndarray:
+def propagate_array(values: np.ndarray, tf: TransferFunction, out=None) -> np.ndarray:
     """Angular-spectrum propagation of a stack of fields, shape (batch, ny, nx).
 
     Zero distance returns the input bit-for-bit up to FFT rounding.
     Boundary conditions are periodic, inherited from the DFT. Shapes are
     not validated; :func:`propagate` is the checked single-field view.
+    ``out`` (which may be ``values``) receives the result.
     """
-    return _spectral_multiply(values, tf.values)
+    return _spectral_multiply(values, tf.values, out)
 
 
-def adjoint_propagate_array(values: np.ndarray, tf: TransferFunction) -> np.ndarray:
+def adjoint_propagate_array(values: np.ndarray, tf: TransferFunction, out=None) -> np.ndarray:
     """Adjoint of :func:`propagate_array` for the same transfer function.
 
     Same FFT sandwich with the conjugated multipliers, satisfying
@@ -126,7 +184,7 @@ def adjoint_propagate_array(values: np.ndarray, tf: TransferFunction) -> np.ndar
     complex inner product. On bandlimited fields it inverts propagation
     (unitarity on propagating modes).
     """
-    return _spectral_multiply(values, tf.conjugate)
+    return _spectral_multiply(values, tf.conjugate, out)
 
 
 def propagate(field: ComplexField, tf: TransferFunction) -> ComplexField:
@@ -153,4 +211,4 @@ def bandlimit_to_propagating(field: ComplexField) -> ComplexField:
     to zero; the rest pass unchanged. Idempotent.
     """
     mask = propagating_mask(field.grid)
-    return ComplexField(field.grid, _spectral_multiply(field.values, mask))
+    return ComplexField(field.grid, _spectral_multiply(field.values[None], mask)[0])

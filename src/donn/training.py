@@ -142,6 +142,7 @@ def _forward_batch(
     differs from the stored parameters only under noise injection.
     """
     grid = net.grid
+    given = values
     if net.input_distance > 0.0:
         values = propagate_array(
             values, cached_transfer_function(grid, net.input_distance)
@@ -152,11 +153,15 @@ def _forward_batch(
         eff = layer.phase
         if noise_sigma > 0.0:
             eff = eff[None, :, :] + noise_sigma * noise_rng.standard_normal(values.shape)
-        values = kernels.apply_phase(values, eff, 1.0)
+        # Stacks this pass made are dead once used: modulate them in place,
+        # and propagate in place unless the modulated field is kept.
+        values = kernels.apply_phase(values, eff, 1.0, out=None if values is given else values)
         if keep_post:
             post_fields.append(values)
             eff_phases.append(eff)
-        values = propagate_array(values, cached_transfer_function(grid, dist))
+        values = propagate_array(
+            values, cached_transfer_function(grid, dist), out=None if keep_post else values
+        )
     return values, post_fields, eff_phases
 
 
@@ -190,15 +195,16 @@ def _loss_and_gradients_batch(
     losses, dl_ds = softmax_cross_entropy(scores, labels, temperature, normalize)
 
     # Seed of the adjoint pass: dL/dU* = (dL/dI) * U at the detector plane.
-    adjoint = _pixel_sensitivity(dl_ds, layout, out.shape) * out
+    # The adjoint stack then overwrites the detector field in every stage.
+    adjoint = np.multiply(_pixel_sensitivity(dl_ds, layout, out.shape), out, out=out)
 
     grads: list[np.ndarray] = [None] * net.depth
     for idx in range(net.depth - 1, -1, -1):
         tf = cached_transfer_function(net.grid, net.distances[idx])
-        adjoint = adjoint_propagate_array(adjoint, tf)
+        adjoint = adjoint_propagate_array(adjoint, tf, out=adjoint)
         grads[idx] = kernels.phase_gradient(post_fields[idx], adjoint) / b
         if idx > 0:
-            adjoint = kernels.apply_phase(adjoint, eff_phases[idx], -1.0)
+            adjoint = kernels.apply_phase(adjoint, eff_phases[idx], -1.0, out=adjoint)
     return float(losses.mean()), grads, scores
 
 
