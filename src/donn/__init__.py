@@ -20,7 +20,6 @@ from .hibl import (
     FabricationModel,
     FidelityMetrics,
     Hologram,
-    RealizedElement,
     ReferenceSpec,
     encode_hologram,
     fabricate,

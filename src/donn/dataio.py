@@ -127,7 +127,6 @@ class Checkpoint:
     network: OpticalNetwork
     epoch: int = 0
     optimizer_state: AdamState | None = None
-    version: int = CHECKPOINT_VERSION
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -218,7 +217,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise ValueError(f"bad optimizer flag {flag} in {path}")
     if r.pos != len(body):
         raise ValueError(f"trailing bytes in checkpoint {path}")
-    return Checkpoint(config_text, net, epoch, state, version)
+    return Checkpoint(config_text, net, epoch, state)
 
 
 # ---------------------------------------------------------------------------

@@ -91,9 +91,6 @@ class ComplexField:
         """Pointwise ``|U|**2`` as a float array."""
         return self.values.real**2 + self.values.imag**2
 
-    def power(self) -> float:
-        return total_power(self)
-
 
 @dataclass(frozen=True)
 class EncodeSpec:
@@ -177,8 +174,7 @@ def total_power(field: ComplexField) -> float:
     The pixel-area factor is deliberately omitted: power is used only for
     normalization and ratios, where it cancels.
     """
-    v = field.values
-    return float(np.sum(v.real**2 + v.imag**2))
+    return float(np.sum(field.intensity()))
 
 
 def frequency_coordinates(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:

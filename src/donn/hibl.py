@@ -21,17 +21,14 @@ the spectral window alone separates them, as a physical readout would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Union
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
-import scipy.fft as _fft
 
-from .fields import GridSpec, frequency_coordinates, wrap_phase
+from .fields import TWO_PI, GridSpec, frequency_coordinates, wrap_phase
 from .network import OpticalNetwork, PhaseLayer
-from .propagation import FFT_WORKERS
-
-TWO_PI = 2.0 * np.pi
+from .propagation import spectral_multiply
 
 
 @dataclass(frozen=True)
@@ -90,26 +87,6 @@ class Hologram:
         object.__setattr__(self, "intensity", v)
 
 
-@dataclass(frozen=True, eq=False)
-class RealizedElement:
-    """The phase response of a fabricated element, values in [0, 2*pi)."""
-
-    grid: GridSpec
-    phase_response: np.ndarray
-
-    def __post_init__(self):
-        p = np.ascontiguousarray(self.phase_response, dtype=np.float64)
-        if p.shape != self.grid.shape:
-            raise ValueError("phase response shape does not match grid")
-        if p.min() < 0.0 or p.max() >= TWO_PI:
-            raise ValueError("phase response must lie in [0, 2*pi)")
-        p.setflags(write=False)
-        object.__setattr__(self, "phase_response", p)
-
-    def as_layer(self) -> PhaseLayer:
-        return PhaseLayer(self.grid, self.phase_response)
-
-
 def _exposure_linear(v: np.ndarray) -> np.ndarray:
     return TWO_PI * v
 
@@ -132,7 +109,8 @@ class FabricationModel:
     ``quant_levels`` is the number of uniformly spaced phase levels in
     [0, 2*pi) (at least 2), or None for a continuous response.
     ``exposure`` names a monotone map from normalized recorded intensity
-    to phase, used only when fabricating directly from a hologram.
+    to phase, used only when :func:`fabricate` is given a hologram;
+    :func:`realize_network` never does that.
     """
 
     quant_levels: int | None = None
@@ -214,47 +192,36 @@ def reconstruct_phase(
         )
     grid = holo.grid
     theta = carrier_phase_field(grid, ref)
-    demodulated = holo.intensity * np.exp(1j * theta)
-    spectrum = _fft.fft2(demodulated, overwrite_x=True, workers=FFT_WORKERS)
     fx, fy = frequency_coordinates(grid)
-    mask = fx[None, :] ** 2 + fy[:, None] ** 2 <= window_radius**2
-    spectrum *= mask
-    baseband = _fft.ifft2(spectrum, overwrite_x=True, workers=FFT_WORKERS)
-    phi = wrap_phase(np.angle(baseband))
+    window = fx[None, :] ** 2 + fy[:, None] ** 2 <= window_radius**2
+    # A batch of one that only this call holds, so it is filtered in place.
+    baseband = (holo.intensity * np.exp(1j * theta))[None]
+    spectral_multiply(baseband, window, out=baseband)
+    phi = wrap_phase(np.angle(baseband[0]))
 
     target = 0.0 if reference_phase is None else circular_mean(reference_phase)
     phi = wrap_phase(phi + (target - circular_mean(phi)))
     return PhaseLayer(grid, phi)
 
 
-def fabricate(
-    element: Union[PhaseLayer, Hologram],
-    model: FabricationModel,
-    ref: ReferenceSpec | None = None,
-) -> RealizedElement:
-    """Map a phase profile or recorded hologram to a fabricated response.
+def fabricate(element: PhaseLayer | Hologram, model: FabricationModel) -> PhaseLayer:
+    """Map a phase profile or recorded hologram to a fabricated phase layer.
 
     A phase profile passes straight into quantization. A hologram is
-    first turned into phase: through :func:`reconstruct_phase` when the
-    recording reference is supplied, otherwise through the exposure curve
-    applied to the min-max normalized intensity (direct intensity-to-
-    phase conversion). Quantization snaps each value to the nearest of
-    ``quant_levels`` uniform levels with wrap-aware distance (never
-    moving a value by more than pi/Q), then seeded Gaussian phase noise
-    is added and the result wrapped to [0, 2*pi).
+    first turned into phase by the exposure curve applied to its min-max
+    normalized intensity (direct intensity-to-phase conversion).
+    Quantization snaps each value to the nearest of ``quant_levels``
+    uniform levels with wrap-aware distance (never moving a value by
+    more than pi/Q), then seeded Gaussian phase noise is added and the
+    result wrapped to [0, 2*pi).
     """
     if isinstance(element, Hologram):
-        if ref is not None:
-            phase = reconstruct_phase(element, ref).phase.copy()
-        else:
-            h = element.intensity
-            span = h.max() - h.min()
-            v = (h - h.min()) / span if span > 0 else np.zeros_like(h)
-            phase = wrap_phase(EXPOSURE_CURVES[model.exposure](v))
-        grid = element.grid
+        h = element.intensity
+        span = h.max() - h.min()
+        v = (h - h.min()) / span if span > 0 else np.zeros_like(h)
+        phase = wrap_phase(EXPOSURE_CURVES[model.exposure](v))
     elif isinstance(element, PhaseLayer):
-        phase = element.phase.copy()
-        grid = element.grid
+        phase = element.phase
     else:
         raise TypeError(f"cannot fabricate from {type(element).__name__}")
 
@@ -264,7 +231,7 @@ def fabricate(
     if model.phase_noise_sigma > 0.0:
         rng = np.random.default_rng(model.seed)
         phase = phase + model.phase_noise_sigma * rng.standard_normal(phase.shape)
-    return RealizedElement(grid, wrap_phase(phase))
+    return PhaseLayer(element.grid, wrap_phase(phase))
 
 
 def recording_reference(
@@ -319,15 +286,8 @@ def realize_network(
         estimate = reconstruct_phase(
             holo, ref, window_radius=window_radius, reference_phase=phase_fine
         )
-        coarse = estimate.phase[u // 2 :: u, u // 2 :: u]
-        layer_model = FabricationModel(
-            quant_levels=model.quant_levels,
-            phase_noise_sigma=model.phase_noise_sigma,
-            exposure=model.exposure,
-            seed=model.seed + i,
-        )
-        element = fabricate(PhaseLayer(net.grid, wrap_phase(coarse)), layer_model)
-        layers.append(element.as_layer())
+        coarse = PhaseLayer(net.grid, estimate.phase[u // 2 :: u, u // 2 :: u])
+        layers.append(fabricate(coarse, replace(model, seed=model.seed + i)))
     return OpticalNetwork(net.grid, tuple(layers), net.distances, net.input_distance)
 
 
@@ -339,19 +299,12 @@ class FidelityMetrics:
 
 
 def fidelity_metrics(
-    ideal: PhaseLayer,
-    realized: Union[RealizedElement, PhaseLayer],
-    ref: ReferenceSpec,
+    ideal: PhaseLayer, realized: PhaseLayer, ref: ReferenceSpec
 ) -> FidelityMetrics:
     """Wrapped phase-error statistics plus the recording fringe contrast."""
-    phase = (
-        realized.phase_response
-        if isinstance(realized, RealizedElement)
-        else realized.phase
-    )
     if realized.grid != ideal.grid:
-        raise ValueError("ideal and realized elements live on different grids")
-    err = wrapped_difference(ideal.phase, phase)
+        raise ValueError("ideal and realized layers live on different grids")
+    err = wrapped_difference(ideal.phase, realized.phase)
     return FidelityMetrics(
         wrapped_rmse=float(np.sqrt(np.mean(err**2))),
         max_wrapped_error=float(err.max()),

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import GridSpec, wrap_phase
-
-TWO_PI = 2.0 * np.pi
+from .fields import TWO_PI, GridSpec, wrap_phase
 
 
 @dataclass(frozen=True, eq=False)

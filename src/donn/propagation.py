@@ -93,10 +93,12 @@ def map_chunks(task, shape: tuple[int, ...], scratch=None) -> None:
         future.result()
 
 
-def _spectral_multiply(values: np.ndarray, multiplier: np.ndarray, out=None) -> np.ndarray:
+def spectral_multiply(values: np.ndarray, multiplier: np.ndarray, out=None) -> np.ndarray:
     """Transform the last two axes of a (batch, ny, nx) stack, multiply, transform back.
 
-    ``values`` is never written unless it is ``out``: the engine keeps
+    This is the package's one FFT sandwich: propagation, its adjoint,
+    bandlimiting and the HIBL readout all run through it. ``values`` is
+    never written unless it is ``out``: the engine keeps
     post-modulation fields for the phase gradient. Each chunk is copied
     into ``out`` and transformed, multiplied and transformed back there.
     """
@@ -173,7 +175,7 @@ def propagate_array(values: np.ndarray, tf: TransferFunction, out=None) -> np.nd
     not validated; :func:`propagate` is the checked single-field view.
     ``out`` (which may be ``values``) receives the result.
     """
-    return _spectral_multiply(values, tf.values, out)
+    return spectral_multiply(values, tf.values, out)
 
 
 def adjoint_propagate_array(values: np.ndarray, tf: TransferFunction, out=None) -> np.ndarray:
@@ -184,7 +186,7 @@ def adjoint_propagate_array(values: np.ndarray, tf: TransferFunction, out=None) 
     complex inner product. On bandlimited fields it inverts propagation
     (unitarity on propagating modes).
     """
-    return _spectral_multiply(values, tf.conjugate, out)
+    return spectral_multiply(values, tf.conjugate, out)
 
 
 def propagate(field: ComplexField, tf: TransferFunction) -> ComplexField:
@@ -211,4 +213,4 @@ def bandlimit_to_propagating(field: ComplexField) -> ComplexField:
     to zero; the rest pass unchanged. Idempotent.
     """
     mask = propagating_mask(field.grid)
-    return ComplexField(field.grid, _spectral_multiply(field.values[None], mask)[0])
+    return ComplexField(field.grid, spectral_multiply(field.values[None], mask)[0])

@@ -341,15 +341,14 @@ def train(
     (regularization against fabrication error); the stored parameters and
     evaluation passes are never perturbed. A non-finite loss aborts with
     a diagnostic rather than being skipped.
+
+    Each epoch's shuffle and noise come from ``(config.seed, epoch)``, so
+    resuming at ``start_epoch`` with the state saved there continues the
+    uninterrupted run bit for bit.
     """
     n = len(train_labels)
     if n == 0:
         raise ValueError("empty training dataset")
-    ss = np.random.SeedSequence(config.seed)
-    shuffle_ss, noise_ss = ss.spawn(2)
-    shuffle_rng = np.random.default_rng(shuffle_ss)
-    noise_rng = np.random.default_rng(noise_ss)
-
     state = initial_state.copy() if initial_state is not None else AdamState.zeros(net)
     metrics = MetricsLog()
     current = net
@@ -359,6 +358,8 @@ def train(
     for epoch in range(start_epoch, config.epochs):
         t0 = time.perf_counter()
         lr = cosine_lr(epoch, config.epochs, config.base_lr)
+        seeds = np.random.SeedSequence([config.seed, epoch]).spawn(2)
+        shuffle_rng, noise_rng = (np.random.default_rng(s) for s in seeds)
         perm = shuffle_rng.permutation(n)
         losses = []
         for start in range(0, n, config.batch_size):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import donn
+import synthdigits
 from donn.fields import ComplexField, EncodeSpec, GridSpec, encode_batch
 from donn.network import OpticalNetwork, PhaseLayer, random_init
 from donn.readout import DegenerateScoresError, DetectorLayout
@@ -211,6 +212,33 @@ def test_train_determinism_and_noise_seeding():
     assert not np.array_equal(
         a.network.layers[0].phase, noisy1.network.layers[0].phase
     )
+
+
+def test_resume_continues_uninterrupted_run_bit_for_bit():
+    images, labels = synthdigits.make_dataset(256, 3)
+    net = random_init(donn.DEFAULT_GRID, 2, [0.01] * 2, seed=0)
+    layout = donn.default_detector_layout(donn.DEFAULT_GRID)
+
+    def run(epochs, start_net=net, state=None, start_epoch=0):
+        cfg = TrainConfig(epochs=epochs, batch_size=64, seed=4, phase_noise_sigma=0.1)
+        return train(
+            start_net, images, labels, None, None, layout, cfg,
+            initial_state=state, start_epoch=start_epoch,
+        )
+
+    whole = run(3)
+    first = run(1)
+    resumed = run(3, first.network, first.optimizer_state, start_epoch=1)
+    for a, b in zip(whole.network.layers, resumed.network.layers):
+        assert a.phase.tobytes() == b.phase.tobytes()
+    for a, b in zip(
+        whole.optimizer_state.m + whole.optimizer_state.v,
+        resumed.optimizer_state.m + resumed.optimizer_state.v,
+    ):
+        assert a.tobytes() == b.tobytes()
+    assert whole.optimizer_state.t == resumed.optimizer_state.t
+    losses = [r.loss for r in first.metrics.rows + resumed.metrics.rows]
+    assert losses == [r.loss for r in whole.metrics.rows]
 
 
 def test_noise_injection_leaves_parameters_alone():
