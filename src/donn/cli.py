@@ -70,6 +70,19 @@ def _confusion_csv(confusion: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Keys a resumed run may change besides paths.*: how long it runs and how
+# often and on how much it evaluates. Any other key changes the run.
+_RESUME_MAY_CHANGE = ("train.epochs", "train.eval_every", "train.limit_test")
+
+
+def _changed_keys(saved: RunConfig, cfg: RunConfig) -> list[str]:
+    return [
+        key for key, value in cfg.values.items()
+        if saved[key] != value
+        and not key.startswith("paths.") and key not in _RESUME_MAY_CHANGE
+    ]
+
+
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -83,6 +96,12 @@ def _cmd_train(args) -> int:
 
     if args.resume:
         ckpt = load_checkpoint(args.resume)
+        changed = _changed_keys(parse_config(ckpt.config_text), cfg)
+        if changed:
+            return _fail(
+                f"checkpoint {args.resume} was trained under a different config: "
+                f"{', '.join(changed)} differ"
+            )
         net = ckpt.network
         state = ckpt.optimizer_state
         start_epoch = ckpt.epoch

@@ -27,8 +27,9 @@ from typing import Callable
 import numpy as np
 
 from .fields import TWO_PI, GridSpec, frequency_coordinates, wrap_phase
+from .kernels import apply_phase
 from .network import OpticalNetwork, PhaseLayer
-from .propagation import spectral_multiply
+from .propagation import map_chunks, spectral_multiply
 
 
 @dataclass(frozen=True)
@@ -162,6 +163,7 @@ def reconstruct_phase(
     ref: ReferenceSpec,
     window_radius: float | None = None,
     reference_phase: np.ndarray | None = None,
+    stride: int = 1,
 ) -> PhaseLayer:
     """Estimate the recorded phase by off-axis Fourier filtering.
 
@@ -175,11 +177,24 @@ def reconstruct_phase(
 
     The estimate's global offset is arbitrary; it is fixed by matching
     the circular mean of ``reference_phase`` when given, and set to zero
-    circular mean otherwise.
+    circular mean otherwise. Both means are taken over the whole
+    recording grid.
+
+    ``stride`` returns only the pixels at the centres ``[stride//2::stride]``
+    of each ``stride`` x ``stride`` block, on a grid ``stride`` times
+    coarser; 1 returns the whole estimate. ``reference_phase`` has that
+    sampled shape, and each of its values stands for its whole block,
+    as for a phase upsampled by pixel replication: at ``stride > 1`` the
+    offset is the same as from the replicated reference at ``stride = 1``.
+
+    The full-grid elementwise stages run in row chunks on the core pool
+    of :mod:`donn.propagation`; the bytes do not depend on the core count.
 
     Raises:
         ValueError: zero carrier (orders overlap, on-axis readout is
-            not supported) or a window radius beyond the carrier offset.
+            not supported), a window radius beyond the carrier offset, a
+            stride below 1 or not dividing the grid, or a
+            ``reference_phase`` without the sampled shape.
     """
     fc = ref.carrier_magnitude
     if fc == 0.0:
@@ -191,17 +206,54 @@ def reconstruct_phase(
             f"window radius {window_radius} outside (0, carrier offset {fc}]"
         )
     grid = holo.grid
-    theta = carrier_phase_field(grid, ref)
+    if stride < 1 or grid.nx % stride or grid.ny % stride:
+        raise ValueError(f"stride {stride} must be >= 1 and divide the grid {grid.shape}")
+    sampled = (grid.ny // stride, grid.nx // stride)
+    if reference_phase is not None and np.shape(reference_phase) != sampled:
+        raise ValueError(
+            f"reference phase shape {np.shape(reference_phase)} is not the "
+            f"sampled shape {sampled} at stride {stride}"
+        )
     fx, fy = frequency_coordinates(grid)
     window = fx[None, :] ** 2 + fy[:, None] ** 2 <= window_radius**2
-    # A batch of one that only this call holds, so it is filtered in place.
-    baseband = (holo.intensity * np.exp(1j * theta))[None]
-    spectral_multiply(baseband, window, out=baseband)
-    phi = wrap_phase(np.angle(baseband[0]))
 
-    target = 0.0 if reference_phase is None else circular_mean(reference_phase)
-    phi = wrap_phase(phi + (target - circular_mean(phi)))
-    return PhaseLayer(grid, phi)
+    # The (ny, nx) stages run as (ny, 1, nx) stacks, CHUNK_ROWS rows at a time.
+    rows_shape = (grid.ny, 1, grid.nx)
+    theta = carrier_phase_field(grid, ref).reshape(rows_shape)
+    intensity = holo.intensity.reshape(rows_shape)
+    baseband = np.empty(grid.shape, np.complex128)
+    z = baseband.reshape(rows_shape)
+    phi = np.empty(grid.shape)
+    p = phi.reshape(rows_shape)
+
+    def angle(rows, workers, _):  # wrap_phase(np.angle(z))
+        chunk = p[rows]
+        np.arctan2(z[rows].imag, z[rows].real, out=chunk)
+        np.mod(chunk, TWO_PI, out=chunk)
+        chunk[chunk >= TWO_PI] = 0.0
+
+    def unit_phasor(rows, workers, _):  # exp(1j*phi), over the spent baseband
+        np.multiply(1j, p[rows], out=z[rows])
+        np.exp(z[rows], out=z[rows])
+
+    apply_phase(intensity, theta, 1, out=z)  # demodulate: intensity * exp(1j*theta)
+    stack = baseband[None]  # a batch of one that only this call holds
+    spectral_multiply(stack, window, out=stack)
+    map_chunks(angle, rows_shape)
+
+    # circular_mean of the replicated reference and of phi, over the same
+    # (ny, nx) array as circular_mean would build, so the sums match.
+    target = 0.0
+    if reference_phase is not None:
+        blocks = baseband.reshape(sampled[0], stride, sampled[1], stride)
+        blocks[...] = np.exp(1j * np.asarray(reference_phase))[:, None, :, None]
+        target = float(np.angle(baseband.mean()))
+    map_chunks(unit_phasor, rows_shape)
+    offset = target - float(np.angle(baseband.mean()))
+
+    centres = phi[stride // 2 :: stride, stride // 2 :: stride]
+    coarse = GridSpec(sampled[1], sampled[0], grid.pitch * stride, grid.wavelength)
+    return PhaseLayer(coarse, wrap_phase(centres + offset))
 
 
 def fabricate(element: PhaseLayer | Hologram, model: FabricationModel) -> PhaseLayer:
@@ -284,9 +336,10 @@ def realize_network(
         phase_fine = np.repeat(np.repeat(layer.phase, u, axis=0), u, axis=1)
         holo = encode_hologram(PhaseLayer(fine, phase_fine), ref)
         estimate = reconstruct_phase(
-            holo, ref, window_radius=window_radius, reference_phase=phase_fine
+            holo, ref, window_radius=window_radius, reference_phase=layer.phase,
+            stride=u,
         )
-        coarse = PhaseLayer(net.grid, estimate.phase[u // 2 :: u, u // 2 :: u])
+        coarse = PhaseLayer(net.grid, estimate.phase)
         layers.append(fabricate(coarse, replace(model, seed=model.seed + i)))
     return OpticalNetwork(net.grid, tuple(layers), net.distances, net.input_distance)
 

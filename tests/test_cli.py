@@ -120,6 +120,42 @@ def test_train_resume(small_dataset_dir, tmp_path):
                  "--resume", str(out_dir / "model.ckpt")]) != 0
 
 
+def test_resume_refuses_a_changed_config(small_dataset_dir, tmp_path, capsys):
+    out_dir = tmp_path / "r"
+    cfg1 = tmp_path / "one.cfg"
+    cfg1.write_text(small_config_text(small_dataset_dir, out_dir, epochs=1))
+    assert main(["train", "--config", str(cfg1)]) == 0
+    ckpt = out_dir / "model.ckpt"
+    saved = ckpt.read_bytes()
+
+    changed = tmp_path / "changed.cfg"
+    changed.write_text(small_config_text(small_dataset_dir, out_dir, epochs=2)
+                       + "train.seed = 5\ntrain.base_lr = 0.5\n")
+    capsys.readouterr()
+    assert main(["train", "--config", str(changed), "--resume", str(ckpt)]) != 0
+    err = capsys.readouterr().err
+    assert "train.seed" in err and "train.base_lr" in err
+    assert ckpt.read_bytes() == saved
+
+    same = tmp_path / "same.cfg"
+    same.write_text(small_config_text(small_dataset_dir, out_dir, epochs=2))
+    assert main(["train", "--config", str(same), "--resume", str(ckpt),
+                 "--seed", "5"]) != 0
+    err = capsys.readouterr().err
+    assert "train.seed" in err and "train.base_lr" not in err
+    assert ckpt.read_bytes() == saved
+
+    # output paths and the evaluation schedule may change on resume
+    moved = tmp_path / "moved.cfg"
+    moved.write_text(
+        small_config_text(small_dataset_dir, tmp_path / "moved", epochs=2)
+        .replace("train.limit_test = 60", "train.limit_test = 30")
+        .replace("train.eval_every = 1", "train.eval_every = 2")
+    )
+    assert main(["train", "--config", str(moved), "--resume", str(ckpt)]) == 0
+    assert load_checkpoint(tmp_path / "moved" / "model.ckpt").epoch == 2
+
+
 def test_eval_random_checkpoint_is_chance_level(small_dataset_dir, tmp_path, capsys):
     cfg = RunConfig()
     net = random_init(cfg.grid, 3, list(cfg.distances), seed=0)

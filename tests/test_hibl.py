@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.fft
 
 import donn
+from donn import hibl
 from donn.fields import GridSpec, frequency_coordinates, wrap_phase
 from donn.hibl import (
     FabricationModel,
@@ -19,6 +22,7 @@ from donn.hibl import (
     wrapped_difference,
 )
 from donn.network import PhaseLayer, random_init
+from test_kernels import engine_threads
 
 GRID = GridSpec(128, 128, 8e-6, 532e-9)
 NYQUIST = 1.0 / (2 * GRID.pitch)
@@ -129,6 +133,80 @@ def test_reconstruct_matches_out_of_place_reference(nx, ny, window_scale, with_r
     expected = reference_reconstruct(holo, ref, radius, reference_phase)
     assert got.phase.tobytes() == expected.tobytes()
     assert holo.intensity.tobytes() == recorded.tobytes()
+
+
+def test_reconstruct_rejects_bad_stride_and_reference_shape():
+    layer = PhaseLayer(GRID, smooth_profile(5))
+    holo = encode_hologram(layer, QUARTER)
+    for stride in (0, -2, 3):
+        with pytest.raises(ValueError, match="stride"):
+            reconstruct_phase(holo, QUARTER, stride=stride)
+    for reference in (layer.phase, layer.phase[::4, ::4][:-1], layer.phase[0]):
+        with pytest.raises(ValueError, match="sampled shape"):
+            reconstruct_phase(holo, QUARTER, reference_phase=reference, stride=4)
+
+
+def reference_realize(net, ref, model, u, window_radius):
+    """realize_network out of place: repeat, encode, read the whole grid, sample, fabricate."""
+    fine = GridSpec(net.grid.nx * u, net.grid.ny * u, net.grid.pitch / u, net.grid.wavelength)
+    phases = []
+    for i, layer in enumerate(net.layers):
+        phase_fine = np.repeat(np.repeat(layer.phase, u, axis=0), u, axis=1)
+        holo = encode_hologram(PhaseLayer(fine, phase_fine), ref)
+        estimate = reference_reconstruct(holo, ref, window_radius, phase_fine)
+        coarse = PhaseLayer(net.grid, estimate[u // 2 :: u, u // 2 :: u])
+        phases.append(fabricate(coarse, replace(model, seed=model.seed + i)).phase)
+    return phases
+
+
+# 20x18 at u = 8 is past numpy's 256 KiB temporary-elision size; 17x13 is odd.
+@pytest.mark.parametrize("nx, ny", [(20, 18), (17, 13)])
+@pytest.mark.parametrize("u", [1, 3, 8])
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+def test_realize_network_matches_full_grid_reference(nx, ny, u, sigma):
+    grid = GridSpec(nx, ny, 8e-6, 532e-9)
+    net = random_init(grid, 2, [0.01, 0.01], seed=nx + u)
+    ref = recording_reference(grid, upsample=u)
+    model = FabricationModel(phase_noise_sigma=sigma, seed=4)
+    radius = 0.98 * ref.carrier_magnitude  # realize_network's default
+    got = realize_network(net, ref, model, record_upsample=u)
+    expected = reference_realize(net, ref, model, u, radius)
+    for layer, phase in zip(got.layers, expected):
+        assert layer.phase.tobytes() == phase.tobytes()
+
+
+def test_readout_bytes_do_not_depend_on_the_pool():
+    holo = encode_hologram(PhaseLayer(GRID, smooth_profile(6)), QUARTER)
+    reference = smooth_profile(7, GridSpec(32, 32, GRID.pitch * 4, GRID.wavelength))
+    grid = GridSpec(13, 11, 8e-6, 532e-9)
+    net = random_init(grid, 2, [0.01, 0.01], seed=8)
+    ref = recording_reference(grid, upsample=8)
+    model = FabricationModel(quant_levels=16, phase_noise_sigma=0.05, seed=2)
+    results = []
+    for threads in (2, None):
+        with engine_threads(threads):
+            results.append([
+                reconstruct_phase(holo, QUARTER).phase,
+                reconstruct_phase(holo, QUARTER, reference_phase=reference, stride=4).phase,
+                *(layer.phase for layer in realize_network(net, ref, model).layers),
+            ])
+    for pooled, serial in zip(*results):
+        assert pooled.tobytes() == serial.tobytes()
+
+
+def test_realize_network_reads_each_layer_through_the_module(monkeypatch):
+    # perfbench traces and checks these calls through the module attributes
+    calls = []
+    for name in ("encode_hologram", "reconstruct_phase"):
+        def spy(*args, _name=name, _original=getattr(hibl, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(hibl, name, spy)
+    grid = GridSpec(8, 8, 8e-6, 532e-9)
+    net = random_init(grid, 3, [0.01] * 3, seed=1)
+    realize_network(net, recording_reference(grid, upsample=4), FabricationModel(),
+                    record_upsample=4)
+    assert calls == ["encode_hologram", "reconstruct_phase"] * 3
 
 
 def test_fabricate_identity_configuration():
