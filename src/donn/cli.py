@@ -54,6 +54,22 @@ def _dataset_from_paths(cfg: RunConfig, split: str) -> Dataset:
     return ds.subset(limit) if limit else ds
 
 
+def _config_and_splits(args) -> tuple[RunConfig, Dataset, Dataset]:
+    """The run config with ``--seed`` applied, and its train and test splits."""
+    cfg = load_config(args.config)
+    if args.seed is not None:
+        cfg.values["train.seed"] = args.seed
+    return cfg, _dataset_from_paths(cfg, "train"), _dataset_from_paths(cfg, "test")
+
+
+def _checkpoint_and_test_set(args) -> tuple[Checkpoint, RunConfig, Dataset]:
+    """The checkpoint, its embedded config, and the first ``--limit`` test samples."""
+    ckpt = load_checkpoint(args.ckpt)
+    cfg = parse_config(ckpt.config_text)
+    test_set = _load_split(Path(args.data), "test")
+    return ckpt, cfg, test_set.subset(args.limit) if args.limit else test_set
+
+
 def _print_confusion(confusion: np.ndarray) -> None:
     n = confusion.shape[0]
     print("confusion matrix (rows: true, cols: predicted):")
@@ -84,11 +100,7 @@ def _changed_keys(saved: RunConfig, cfg: RunConfig) -> list[str]:
 
 
 def _cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.values["train.seed"] = args.seed
-    train_set = _dataset_from_paths(cfg, "train")
-    test_set = _dataset_from_paths(cfg, "test")
+    cfg, train_set, test_set = _config_and_splits(args)
     layout = cfg.detector_layout
     tc = cfg.train_config
     out_dir = Path(cfg["paths.out_dir"])
@@ -158,11 +170,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    ckpt = load_checkpoint(args.ckpt)
-    cfg = parse_config(ckpt.config_text)
-    test_set = _load_split(Path(args.data), "test")
-    if args.limit:
-        test_set = test_set.subset(args.limit)
+    ckpt, cfg, test_set = _checkpoint_and_test_set(args)
     acc, confusion = evaluate(
         ckpt.network, test_set.images, test_set.labels, cfg.detector_layout,
         cfg.encode_spec,
@@ -204,11 +212,7 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
-    ckpt = load_checkpoint(args.ckpt)
-    cfg = parse_config(ckpt.config_text)
-    test_set = _load_split(Path(args.data), "test")
-    if args.limit:
-        test_set = test_set.subset(args.limit)
+    ckpt, cfg, test_set = _checkpoint_and_test_set(args)
     layout = cfg.detector_layout
     sigmas = [float(s) for s in args.sigma.split(",") if s.strip()]
     rng = np.random.default_rng(args.seed)
@@ -238,12 +242,8 @@ def _cmd_perturb(args) -> int:
 
 
 def _cmd_depth_sweep(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.values["train.seed"] = args.seed
+    cfg, train_set, test_set = _config_and_splits(args)
     depths = [int(d) for d in args.depths.split(",") if d.strip()]
-    train_set = _dataset_from_paths(cfg, "train")
-    test_set = _dataset_from_paths(cfg, "test")
     distances = cfg.distances
     table = depth_sweep(
         depths,

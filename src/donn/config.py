@@ -78,7 +78,6 @@ _SCHEMA: dict[str, tuple] = {
     "hibl.window_radius": (float, 0.0),
     "hibl.quant_levels": (int, 0),
     "hibl.noise_sigma": (float, 0.0),
-    "hibl.exposure": (str, "linear"),
     "hibl.seed": (int, 0),
     "paths.train_images": (str, ""),
     "paths.train_labels": (str, ""),
@@ -197,7 +196,6 @@ class RunConfig:
         return FabricationModel(
             quant_levels=None if q == 0 else q,
             phase_noise_sigma=v["hibl.noise_sigma"],
-            exposure=v["hibl.exposure"],
             seed=v["hibl.seed"],
         )
 
@@ -218,6 +216,13 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key == "hibl.exposure":  # retired; older checkpoints embed "linear"
+            if value != "linear":
+                raise ValueError(
+                    f"line {lineno}: config key {key!r} was removed because "
+                    "realization never applied it; only 'linear' is accepted"
+                )
+            continue
         if key not in _SCHEMA:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         if key in values:

@@ -4,8 +4,8 @@ A trained layer is turned into a physically recordable object in three
 steps: interfere an object beam carrying the phase with a tilted
 reference beam and record the fringe intensity; read the phase back out
 of the fringes by isolating one diffraction order in the spectrum
-(off-axis carrier method); and pass the estimate through a fabrication
-model (exposure response, level quantization, phase noise). Inference on
+(off-axis carrier method); and pass the read-back phase through a
+fabrication model (level quantization, phase noise). Inference on
 the realized stack quantifies what the recording pipeline costs in
 accuracy relative to the ideal masks.
 
@@ -22,7 +22,6 @@ the spectral window alone separates them, as a physical readout would.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -88,35 +87,18 @@ class Hologram:
         object.__setattr__(self, "intensity", v)
 
 
-def _exposure_linear(v: np.ndarray) -> np.ndarray:
-    return TWO_PI * v
-
-
-def _exposure_softclip(v: np.ndarray, steepness: float = 3.0) -> np.ndarray:
-    s = np.tanh(steepness * (v - 0.5)) / (2.0 * np.tanh(steepness * 0.5)) + 0.5
-    return TWO_PI * s
-
-
-EXPOSURE_CURVES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "linear": _exposure_linear,
-    "softclip": _exposure_softclip,
-}
-
-
 @dataclass(frozen=True)
 class FabricationModel:
-    """Exposure response, phase quantization, and fabrication phase noise.
+    """Phase quantization and fabrication phase noise.
 
     ``quant_levels`` is the number of uniformly spaced phase levels in
     [0, 2*pi) (at least 2), or None for a continuous response.
-    ``exposure`` names a monotone map from normalized recorded intensity
-    to phase, used only when :func:`fabricate` is given a hologram;
-    :func:`realize_network` never does that.
+    ``phase_noise_sigma`` is the standard deviation, in radians, of the
+    Gaussian noise drawn from ``seed``.
     """
 
     quant_levels: int | None = None
     phase_noise_sigma: float = 0.0
-    exposure: str = "linear"
     seed: int = 0
 
     def __post_init__(self):
@@ -124,11 +106,6 @@ class FabricationModel:
             raise ValueError("quant_levels must be >= 2 (or None for continuous)")
         if self.phase_noise_sigma < 0:
             raise ValueError("phase_noise_sigma must be >= 0")
-        if self.exposure not in EXPOSURE_CURVES:
-            raise ValueError(
-                f"unknown exposure curve {self.exposure!r}; "
-                f"choose from {sorted(EXPOSURE_CURVES)}"
-            )
 
 
 def carrier_phase_field(grid: GridSpec, ref: ReferenceSpec) -> np.ndarray:
@@ -256,34 +233,22 @@ def reconstruct_phase(
     return PhaseLayer(coarse, wrap_phase(centres + offset))
 
 
-def fabricate(element: PhaseLayer | Hologram, model: FabricationModel) -> PhaseLayer:
-    """Map a phase profile or recorded hologram to a fabricated phase layer.
+def fabricate(layer: PhaseLayer, model: FabricationModel) -> PhaseLayer:
+    """Map a read-back phase profile to a fabricated phase layer.
 
-    A phase profile passes straight into quantization. A hologram is
-    first turned into phase by the exposure curve applied to its min-max
-    normalized intensity (direct intensity-to-phase conversion).
     Quantization snaps each value to the nearest of ``quant_levels``
     uniform levels with wrap-aware distance (never moving a value by
     more than pi/Q), then seeded Gaussian phase noise is added and the
     result wrapped to [0, 2*pi).
     """
-    if isinstance(element, Hologram):
-        h = element.intensity
-        span = h.max() - h.min()
-        v = (h - h.min()) / span if span > 0 else np.zeros_like(h)
-        phase = wrap_phase(EXPOSURE_CURVES[model.exposure](v))
-    elif isinstance(element, PhaseLayer):
-        phase = element.phase
-    else:
-        raise TypeError(f"cannot fabricate from {type(element).__name__}")
-
+    phase = layer.phase
     if model.quant_levels is not None:
         step = TWO_PI / model.quant_levels
         phase = (np.floor(phase / step + 0.5) % model.quant_levels) * step
     if model.phase_noise_sigma > 0.0:
         rng = np.random.default_rng(model.seed)
         phase = phase + model.phase_noise_sigma * rng.standard_normal(phase.shape)
-    return PhaseLayer(element.grid, wrap_phase(phase))
+    return PhaseLayer(layer.grid, wrap_phase(phase))
 
 
 def recording_reference(

@@ -49,15 +49,13 @@ class DetectorLayout:
         return len(self.regions)
 
 
-def default_detector_layout(grid: GridSpec, n_classes: int = 10) -> DetectorLayout:
+def default_detector_layout(grid: GridSpec) -> DetectorLayout:
     """Equal-area detector regions in a 2 x 5 block, centered in the grid.
 
     On the default 91 x 91 grid this gives ten 9 x 9 regions with 9-pixel
     gaps; other grid sizes scale the region size proportionally. Class
     indices run row-major, 0-4 on the top row.
     """
-    if n_classes != 10:
-        raise ValueError("the default layout is defined for 10 classes")
     side = max(1, round(9 * min(grid.nx, grid.ny) / 91))
     gap = side
     span_x = 5 * side + 4 * gap

@@ -425,6 +425,8 @@ def depth_sweep(
     """
     if not depths:
         raise ValueError("depths must be nonempty")
+    if len(test_labels) == 0:
+        raise ValueError("empty test dataset")
     table = []
     for depth in depths:
         net = random_init(grid, depth, [layer_distance] * depth, network_seed)
@@ -439,6 +441,6 @@ def depth_sweep(
             encode,
             log_fn=log_fn,
         )
-        acc, _ = evaluate(result.network, test_images, test_labels, layout, encode)
-        table.append((depth, acc))
+        # train() always evaluates the test set after its last epoch
+        table.append((depth, result.metrics.rows[-1].test_accuracy))
     return table

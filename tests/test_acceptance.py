@@ -171,7 +171,7 @@ def smooth_profile(seed: int, grid: GridSpec) -> np.ndarray:
 def test_criterion_5_hibl_round_trip():
     grid = GridSpec(128, 128, 8e-6, 532e-9)
     nyquist = 1.0 / (2 * grid.pitch)
-    ref = donn.ReferenceSpec(1.0, 1.0, (nyquist / 4, 0.0))
+    ref = donn.hibl.ReferenceSpec(1.0, 1.0, (nyquist / 4, 0.0))
     lo = ref.object_amplitude**2 + ref.reference_amplitude**2 - 2 * (
         ref.object_amplitude * ref.reference_amplitude
     )

@@ -168,6 +168,19 @@ def test_eval_random_checkpoint_is_chance_level(small_dataset_dir, tmp_path, cap
     assert 0.0 <= acc <= 0.3
 
 
+def test_checkpoint_with_retired_exposure_key_still_runs(small_dataset_dir, tmp_path):
+    cfg = RunConfig()
+    text = cfg.to_text().replace("hibl.seed", "hibl.exposure = linear\nhibl.seed")
+    assert "hibl.exposure = linear" in text
+    net = random_init(cfg.grid, 3, list(cfg.distances), seed=0)
+    ckpt_path = tmp_path / "old.ckpt"
+    save_checkpoint(Checkpoint(text, net), ckpt_path)
+    assert main(["realize", "--ckpt", str(ckpt_path),
+                 "--out", str(tmp_path / "realized.ckpt")]) == 0
+    assert main(["eval", "--ckpt", str(ckpt_path), "--data", str(small_dataset_dir),
+                 "--limit", "20"]) == 0
+
+
 def test_depth_sweep_cli(small_dataset_dir, tmp_path, capsys):
     out_dir = tmp_path / "sweep"
     cfg = tmp_path / "sweep.cfg"

@@ -95,3 +95,14 @@ def test_reference_spec_auto_carrier():
     assert ref.carrier[0] == pytest.approx(1.0 / (4 * fine_pitch))
     cfg2 = parse_config("hibl.carrier_x = 1000.0\nhibl.carrier_y = 2000.0\n")
     assert cfg2.reference_spec.carrier == (1000.0, 2000.0)
+
+
+def test_retired_exposure_key_accepted_only_as_linear():
+    # checkpoints written before the key was retired embed "hibl.exposure = linear"
+    base = "grid.nx = 64\nhibl.noise_sigma = 0.1\n"
+    old = parse_config(base + "hibl.exposure = linear\n")
+    new = parse_config(base)
+    assert old.values == new.values
+    assert old.to_text() == new.to_text()
+    with pytest.raises(ValueError, match="hibl.exposure"):
+        parse_config(base + "hibl.exposure = softclip\n")

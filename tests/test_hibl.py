@@ -244,22 +244,9 @@ def test_fabricate_deterministic_with_seed():
     assert np.array_equal(a.phase, b.phase)
 
 
-def test_fabricate_from_hologram_without_reference():
-    # direct exposure conversion: intensity normalized then mapped to phase
-    phi = smooth_profile(64)
-    holo = encode_hologram(PhaseLayer(GRID, phi), QUARTER)
-    out = fabricate(holo, FabricationModel(exposure="linear"))
-    assert out.phase.min() >= 0.0
-    assert out.phase.max() < TWO_PI
-    softclip = fabricate(holo, FabricationModel(exposure="softclip"))
-    assert not np.array_equal(out.phase, softclip.phase)
-
-
 def test_fabricate_rejects_bad_levels():
     with pytest.raises(ValueError, match="quant_levels"):
         FabricationModel(quant_levels=1)
-    with pytest.raises(ValueError, match="exposure"):
-        FabricationModel(exposure="cubic")
 
 
 def test_fidelity_metrics_values():
@@ -289,7 +276,7 @@ def test_realize_network_preserves_geometry_and_tracks_phases():
 def test_realized_layer_noise_decorrelated_across_layers():
     grid = GridSpec(16, 16, 8e-6, 532e-9)
     phases = [np.zeros(grid.shape), np.zeros(grid.shape)]
-    net = donn.OpticalNetwork(
+    net = donn.network.OpticalNetwork(
         grid,
         tuple(PhaseLayer(grid, p) for p in phases),
         (0.01, 0.01),

@@ -217,7 +217,7 @@ def test_train_determinism_and_noise_seeding():
 def test_resume_continues_uninterrupted_run_bit_for_bit():
     images, labels = synthdigits.make_dataset(256, 3)
     net = random_init(donn.DEFAULT_GRID, 2, [0.01] * 2, seed=0)
-    layout = donn.default_detector_layout(donn.DEFAULT_GRID)
+    layout = donn.readout.default_detector_layout(donn.DEFAULT_GRID)
 
     def run(epochs, start_net=net, state=None, start_epoch=0):
         cfg = TrainConfig(epochs=epochs, batch_size=64, seed=4, phase_noise_sigma=0.1)
