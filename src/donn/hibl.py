@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import TWO_PI, GridSpec, frequency_coordinates, wrap_phase
-from .kernels import apply_phase
 from .network import OpticalNetwork, PhaseLayer
 from .propagation import map_chunks, spectral_multiply
 
@@ -116,12 +115,29 @@ def carrier_phase_field(grid: GridSpec, ref: ReferenceSpec) -> np.ndarray:
 
 
 def encode_hologram(layer: PhaseLayer, ref: ReferenceSpec) -> Hologram:
-    """Record a phase profile as an off-axis interference pattern."""
+    """Record a phase profile as an off-axis interference pattern.
+
+    The fringe runs in row chunks on the core pool of
+    :mod:`donn.propagation`; the bytes do not depend on the core count.
+    """
     ref.check_nyquist(layer.grid)
-    theta = carrier_phase_field(layer.grid, ref)
     a_o, a_r = ref.object_amplitude, ref.reference_amplitude
-    h = a_o * a_o + a_r * a_r + 2.0 * a_o * a_r * np.cos(layer.phase - theta)
-    return Hologram(layer.grid, h)
+    bias, gain = a_o * a_o + a_r * a_r, 2.0 * a_o * a_r
+    # The (ny, nx) stages run as (ny, 1, nx) stacks, CHUNK_ROWS rows at a time.
+    rows_shape = (layer.grid.ny, 1, layer.grid.nx)
+    theta = carrier_phase_field(layer.grid, ref).reshape(rows_shape)
+    phase = layer.phase.reshape(rows_shape)
+    h = np.empty(rows_shape)
+
+    def fringe(rows, workers, _):  # bias + gain * cos(phase - theta)
+        chunk = h[rows]
+        np.subtract(phase[rows], theta[rows], out=chunk)
+        np.cos(chunk, out=chunk)
+        np.multiply(gain, chunk, out=chunk)
+        np.add(bias, chunk, out=chunk)
+
+    map_chunks(fringe, rows_shape)
+    return Hologram(layer.grid, h.reshape(layer.grid.shape))
 
 
 def circular_mean(phase: np.ndarray) -> float:
@@ -154,18 +170,15 @@ def reconstruct_phase(
 
     The estimate's global offset is arbitrary; it is fixed by matching
     the circular mean of ``reference_phase`` when given, and set to zero
-    circular mean otherwise. Both means are taken over the whole
-    recording grid.
+    circular mean otherwise. Both means are taken over the returned
+    pixels.
 
     ``stride`` returns only the pixels at the centres ``[stride//2::stride]``
     of each ``stride`` x ``stride`` block, on a grid ``stride`` times
     coarser; 1 returns the whole estimate. ``reference_phase`` has that
-    sampled shape, and each of its values stands for its whole block,
-    as for a phase upsampled by pixel replication: at ``stride > 1`` the
-    offset is the same as from the replicated reference at ``stride = 1``.
-
-    The full-grid elementwise stages run in row chunks on the core pool
-    of :mod:`donn.propagation`; the bytes do not depend on the core count.
+    sampled shape. The filtered spectrum is folded onto the sampled
+    pixels (:func:`donn.propagation.spectral_multiply` with ``stride``),
+    so only one inverse transform of the coarse grid's size runs.
 
     Raises:
         ValueError: zero carrier (orders overlap, on-axis readout is
@@ -193,44 +206,16 @@ def reconstruct_phase(
         )
     fx, fy = frequency_coordinates(grid)
     window = fx[None, :] ** 2 + fy[:, None] ** 2 <= window_radius**2
-
-    # The (ny, nx) stages run as (ny, 1, nx) stacks, CHUNK_ROWS rows at a time.
-    rows_shape = (grid.ny, 1, grid.nx)
-    theta = carrier_phase_field(grid, ref).reshape(rows_shape)
-    intensity = holo.intensity.reshape(rows_shape)
-    baseband = np.empty(grid.shape, np.complex128)
-    z = baseband.reshape(rows_shape)
-    phi = np.empty(grid.shape)
-    p = phi.reshape(rows_shape)
-
-    def angle(rows, workers, _):  # wrap_phase(np.angle(z))
-        chunk = p[rows]
-        np.arctan2(z[rows].imag, z[rows].real, out=chunk)
-        np.mod(chunk, TWO_PI, out=chunk)
-        chunk[chunk >= TWO_PI] = 0.0
-
-    def unit_phasor(rows, workers, _):  # exp(1j*phi), over the spent baseband
-        np.multiply(1j, p[rows], out=z[rows])
-        np.exp(z[rows], out=z[rows])
-
-    apply_phase(intensity, theta, 1, out=z)  # demodulate: intensity * exp(1j*theta)
+    # demodulate: intensity * exp(1j*theta_r), with the carrier split by axis
+    x = np.arange(grid.nx) * grid.pitch
+    y = np.arange(grid.ny) * grid.pitch
+    baseband = holo.intensity * np.exp(1j * TWO_PI * ref.carrier[0] * x)[None, :]
+    baseband *= np.exp(1j * TWO_PI * ref.carrier[1] * y)[:, None]
     stack = baseband[None]  # a batch of one that only this call holds
-    spectral_multiply(stack, window, out=stack)
-    map_chunks(angle, rows_shape)
-
-    # circular_mean of the replicated reference and of phi, over the same
-    # (ny, nx) array as circular_mean would build, so the sums match.
-    target = 0.0
-    if reference_phase is not None:
-        blocks = baseband.reshape(sampled[0], stride, sampled[1], stride)
-        blocks[...] = np.exp(1j * np.asarray(reference_phase))[:, None, :, None]
-        target = float(np.angle(baseband.mean()))
-    map_chunks(unit_phasor, rows_shape)
-    offset = target - float(np.angle(baseband.mean()))
-
-    centres = phi[stride // 2 :: stride, stride // 2 :: stride]
+    phi = wrap_phase(np.angle(spectral_multiply(stack, window, out=stack, stride=stride)[0]))
+    target = 0.0 if reference_phase is None else circular_mean(reference_phase)
     coarse = GridSpec(sampled[1], sampled[0], grid.pitch * stride, grid.wavelength)
-    return PhaseLayer(coarse, wrap_phase(centres + offset))
+    return PhaseLayer(coarse, wrap_phase(phi + (target - circular_mean(phi))))
 
 
 def fabricate(layer: PhaseLayer, model: FabricationModel) -> PhaseLayer:

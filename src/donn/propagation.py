@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.fft as _fft
 
-from .fields import ComplexField, GridSpec, check_same_grid, frequency_coordinates
+from .fields import TWO_PI, ComplexField, GridSpec, check_same_grid, frequency_coordinates
 
 __all__ = [
     "TransferFunction",
@@ -93,7 +93,9 @@ def map_chunks(task, shape: tuple[int, ...], scratch=None) -> None:
         future.result()
 
 
-def spectral_multiply(values: np.ndarray, multiplier: np.ndarray, out=None) -> np.ndarray:
+def spectral_multiply(
+    values: np.ndarray, multiplier: np.ndarray, out=None, stride: int = 1
+) -> np.ndarray:
     """Transform the last two axes of a (batch, ny, nx) stack, multiply, transform back.
 
     This is the package's one FFT sandwich: propagation, its adjoint,
@@ -101,9 +103,27 @@ def spectral_multiply(values: np.ndarray, multiplier: np.ndarray, out=None) -> n
     never written unless it is ``out``: the engine keeps
     post-modulation fields for the phase gradient. Each chunk is copied
     into ``out`` and transformed, multiplied and transformed back there.
+
+    ``stride = s > 1`` (dividing both grid axes) returns only the samples
+    ``[:, s//2::s, s//2::s]`` of the result, as a new
+    (batch, ny/s, nx/s) array, and ``out`` is left holding spent
+    spectra. The multiplied spectrum is folded onto the coarse grid, one
+    axis at a time: each axis is multiplied by the twiddle
+    ``exp(2j*pi*k*(s//2)/n)`` that shifts the samples to index 0 and its
+    ``s`` aliases of length ``n/s`` are summed. One (ny/s) x (nx/s)
+    inverse transform, scaled by ``1/s**2``, then gives the samples.
     """
+    batch, ny, nx = values.shape
+    if stride < 1 or ny % stride or nx % stride:
+        raise ValueError(f"stride {stride} must be >= 1 and divide the grid {(ny, nx)}")
     if out is None:
         out = np.empty(values.shape, np.complex128)
+    if stride > 1:
+        my, mx = ny // stride, nx // stride
+        shift = TWO_PI * (stride // 2)
+        twiddle_y = np.exp(1j * shift * np.arange(ny) / ny)[:, None]
+        twiddle_x = np.exp(1j * shift * np.arange(nx) / nx)
+        sampled = np.empty((batch, my, mx), np.complex128)
 
     def sandwich(rows, workers, _):
         chunk = out[rows]
@@ -111,10 +131,23 @@ def spectral_multiply(values: np.ndarray, multiplier: np.ndarray, out=None) -> n
             chunk[...] = values[rows]
         _fft.fft2(chunk, axes=(-2, -1), overwrite_x=True, workers=workers)
         np.multiply(chunk, multiplier, out=chunk)
-        _fft.ifft2(chunk, axes=(-2, -1), overwrite_x=True, workers=workers)
+        if stride == 1:
+            _fft.ifft2(chunk, axes=(-2, -1), overwrite_x=True, workers=workers)
+            return
+        np.multiply(chunk, twiddle_y, out=chunk)
+        folded = chunk[:, :my]
+        for a in range(1, stride):
+            np.add(folded, chunk[:, a * my : (a + 1) * my], out=folded)
+        np.multiply(folded, twiddle_x, out=folded)
+        coarse = sampled[rows]
+        coarse[...] = folded[:, :, :mx]
+        for a in range(1, stride):
+            np.add(coarse, folded[:, :, a * mx : (a + 1) * mx], out=coarse)
+        _fft.ifft2(coarse, axes=(-2, -1), overwrite_x=True, workers=workers)
+        np.multiply(coarse, 1.0 / stride**2, out=coarse)
 
     map_chunks(sandwich, values.shape)
-    return out
+    return out if stride == 1 else sampled
 
 
 @dataclass(frozen=True, eq=False)

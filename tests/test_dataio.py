@@ -3,8 +3,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import synthdigits
+from donn import hibl
 from donn.dataio import (
     Checkpoint,
     load_checkpoint,
@@ -138,6 +140,35 @@ def test_checkpoint_unsupported_version(tmp_path):
 
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
     with pytest.raises(ValueError, match="unsupported checkpoint version"):
+        load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def realized_checkpoint_bytes(tmp_path_factory):
+    """A small realized checkpoint (no optimizer state), as ``donn realize`` writes it."""
+    net = random_init(GridSpec(4, 3, 8e-6, 532e-9), 2, [0.01, 0.015], seed=5)
+    ref = hibl.recording_reference(net.grid, upsample=2)
+    realized = hibl.realize_network(net, ref, hibl.FabricationModel(quant_levels=16), 2)
+    path = tmp_path_factory.mktemp("ckpt") / "realized.ckpt"
+    save_checkpoint(Checkpoint("hibl.quant_levels = 16\n", realized, epoch=2), path)
+    return path.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_damaged_checkpoint_always_raises_value_error(realized_checkpoint_bytes, data, tmp_path_factory):
+    # every single-byte change and every truncation is refused with a
+    # ValueError: never another exception, never a silent load
+    raw = realized_checkpoint_bytes
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        pos = data.draw(st.integers(0, len(raw) - 1), label="position")
+        byte = data.draw(st.integers(0, 255).filter(lambda b: b != raw[pos]), label="byte")
+        damaged = raw[:pos] + bytes([byte]) + raw[pos + 1 :]
+    path = tmp_path_factory.getbasetemp() / "damaged.ckpt"
+    path.write_bytes(damaged)
+    with pytest.raises(ValueError):
         load_checkpoint(path)
 
 

@@ -5,7 +5,7 @@ import pytest
 import scipy.fft
 
 import donn
-from donn import hibl
+from donn import hibl, propagation
 from donn.fields import GridSpec, frequency_coordinates, wrap_phase
 from donn.hibl import (
     FabricationModel,
@@ -106,13 +106,25 @@ def test_reconstruct_offset_convention_zero_mean():
     assert abs(circular_mean(rec.phase)) < 1e-9
 
 
-def reference_reconstruct(holo, ref, window_radius=None, reference_phase=None):
-    """The off-axis readout formula with out-of-place transforms."""
+def reference_reconstruct(holo, ref, window_radius=None, reference_phase=None, stride=1):
+    """The off-axis readout formula with out-of-place, full-grid transforms.
+
+    Demodulates with the carrier split into a row and a column phasor,
+    samples the pixel centres, and matches the offset over them.
+    """
+    grid = holo.grid
     radius = 0.5 * ref.carrier_magnitude if window_radius is None else window_radius
-    demodulated = holo.intensity * np.exp(1j * carrier_phase_field(holo.grid, ref))
-    fx, fy = frequency_coordinates(holo.grid)
+    x = np.arange(grid.nx) * grid.pitch
+    y = np.arange(grid.ny) * grid.pitch
+    demodulated = (
+        holo.intensity
+        * np.exp(1j * TWO_PI * ref.carrier[0] * x)[None, :]
+        * np.exp(1j * TWO_PI * ref.carrier[1] * y)[:, None]
+    )
+    fx, fy = frequency_coordinates(grid)
     window = fx[None, :] ** 2 + fy[:, None] ** 2 <= radius**2
-    phi = wrap_phase(np.angle(scipy.fft.ifft2(scipy.fft.fft2(demodulated) * window)))
+    filtered = scipy.fft.ifft2(scipy.fft.fft2(demodulated) * window)
+    phi = wrap_phase(np.angle(filtered[stride // 2 :: stride, stride // 2 :: stride]))
     target = 0.0 if reference_phase is None else circular_mean(reference_phase)
     return wrap_phase(phi + (target - circular_mean(phi)))
 
@@ -153,8 +165,8 @@ def reference_realize(net, ref, model, u, window_radius):
     for i, layer in enumerate(net.layers):
         phase_fine = np.repeat(np.repeat(layer.phase, u, axis=0), u, axis=1)
         holo = encode_hologram(PhaseLayer(fine, phase_fine), ref)
-        estimate = reference_reconstruct(holo, ref, window_radius, phase_fine)
-        coarse = PhaseLayer(net.grid, estimate[u // 2 :: u, u // 2 :: u])
+        estimate = reference_reconstruct(holo, ref, window_radius, layer.phase, stride=u)
+        coarse = PhaseLayer(net.grid, estimate)
         phases.append(fabricate(coarse, replace(model, seed=model.seed + i)).phase)
     return phases
 
@@ -164,6 +176,7 @@ def reference_realize(net, ref, model, u, window_radius):
 @pytest.mark.parametrize("u", [1, 3, 8])
 @pytest.mark.parametrize("sigma", [0.0, 0.1])
 def test_realize_network_matches_full_grid_reference(nx, ny, u, sigma):
+    # the folded 91-squared inverse transform against a full-grid one, sampled
     grid = GridSpec(nx, ny, 8e-6, 532e-9)
     net = random_init(grid, 2, [0.01, 0.01], seed=nx + u)
     ref = recording_reference(grid, upsample=u)
@@ -172,7 +185,77 @@ def test_realize_network_matches_full_grid_reference(nx, ny, u, sigma):
     got = realize_network(net, ref, model, record_upsample=u)
     expected = reference_realize(net, ref, model, u, radius)
     for layer, phase in zip(got.layers, expected):
-        assert layer.phase.tobytes() == phase.tobytes()
+        assert wrapped_difference(layer.phase, phase).max() <= 1e-9
+
+
+def whole_grid_realize(net, ref, u, window_radius):
+    """Continuous realization with the offset matched over the whole recording grid.
+
+    The demodulating carrier is one 2-D phasor and both circular means
+    run over every recorded pixel, before the centres are sampled.
+    """
+    fine = GridSpec(net.grid.nx * u, net.grid.ny * u, net.grid.pitch / u, net.grid.wavelength)
+    fx, fy = frequency_coordinates(fine)
+    window = fx[None, :] ** 2 + fy[:, None] ** 2 <= window_radius**2
+    phases = []
+    for layer in net.layers:
+        phase_fine = np.repeat(np.repeat(layer.phase, u, axis=0), u, axis=1)
+        holo = encode_hologram(PhaseLayer(fine, phase_fine), ref)
+        demodulated = holo.intensity * np.exp(1j * carrier_phase_field(fine, ref))
+        phi = wrap_phase(np.angle(scipy.fft.ifft2(scipy.fft.fft2(demodulated) * window)))
+        phi = wrap_phase(phi + (circular_mean(phase_fine) - circular_mean(phi)))
+        phases.append(phi[u // 2 :: u, u // 2 :: u])
+    return phases
+
+
+@pytest.mark.parametrize("nx, ny, u", [(20, 18, 8), (17, 13, 3), (91, 91, 8)])
+def test_sampled_offset_moves_each_layer_by_one_constant(nx, ny, u):
+    # Matching the offset over the sampled pixels instead of the whole
+    # recording grid shifts each continuous layer by one global phase,
+    # which no detected intensity can see.
+    grid = GridSpec(nx, ny, 8e-6, 532e-9)
+    net = random_init(grid, 3, [0.01] * 3, seed=1)
+    ref = recording_reference(grid, upsample=u)
+    got = realize_network(net, ref, FabricationModel(), record_upsample=u)
+    expected = whole_grid_realize(net, ref, u, 0.98 * ref.carrier_magnitude)
+    for layer, phase in zip(got.layers, expected):
+        shift = circular_mean(layer.phase - phase)
+        assert wrapped_difference(layer.phase, wrap_phase(phase + shift)).max() <= 1e-9
+
+
+def test_realize_network_runs_no_recording_grid_inverse_transform(monkeypatch):
+    # realize_network reads only the pixel centres: every inverse transform
+    # must run on the coarse grid, never at the 8x recording resolution
+    shapes = []
+
+    def spy(x, *args, _original=propagation._fft.ifft2, **kwargs):
+        shapes.append(np.shape(x)[-2:])
+        return _original(x, *args, **kwargs)
+
+    monkeypatch.setattr(propagation._fft, "ifft2", spy)
+    grid = GridSpec(12, 10, 8e-6, 532e-9)
+    net = random_init(grid, 2, [0.01, 0.01], seed=2)
+    realize_network(net, recording_reference(grid, upsample=8), FabricationModel())
+    assert shapes and all(shape == grid.shape for shape in shapes)
+
+
+def reference_hologram(layer, ref):
+    """The fringe formula out of place, on the whole grid at once."""
+    theta = carrier_phase_field(layer.grid, ref)
+    a_o, a_r = ref.object_amplitude, ref.reference_amplitude
+    return a_o * a_o + a_r * a_r + 2.0 * a_o * a_r * np.cos(layer.phase - theta)
+
+
+@pytest.mark.parametrize("nx, ny", [(64, 48), (45, 33)])
+@pytest.mark.parametrize("threads", [2, None])
+def test_hologram_matches_out_of_place_fringe(nx, ny, threads):
+    grid = GridSpec(nx, ny, 8e-6, 532e-9)
+    nyquist = 1.0 / (2 * grid.pitch)
+    ref = ReferenceSpec(1.3, 0.8, (nyquist / 4, -nyquist / 8))
+    layer = PhaseLayer(grid, smooth_profile(71, grid, ptp_scale=3.0))
+    with engine_threads(threads):
+        got = encode_hologram(layer, ref).intensity
+    assert got.tobytes() == reference_hologram(layer, ref).tobytes()
 
 
 def test_readout_bytes_do_not_depend_on_the_pool():

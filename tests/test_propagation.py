@@ -12,6 +12,7 @@ from donn.propagation import (
     propagate,
     propagate_array,
     propagating_mask,
+    spectral_multiply,
     transfer_function,
 )
 from donn.scenes import gaussian_scene
@@ -169,6 +170,48 @@ def test_sandwich_keeps_input_and_matches_out_of_place(nx, ny):
         expected = scipy.fft.ifft2(scipy.fft.fft2(x, axes=axes) * h, axes=axes)
         assert np.array_equal(op(x, tf), expected)
         assert np.array_equal(x, before)
+
+
+@st.composite
+def strided_stacks(draw):
+    """A (batch, ny, nx) stack and multiplier with a stride dividing both axes."""
+    stride = draw(st.sampled_from([1, 2, 3, 8]))
+    ny = stride * draw(st.integers(1, 40 // stride))
+    nx = stride * draw(st.integers(1, 40 // stride))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 3)), ny, nx)
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    multiplier = rng.normal(size=(ny, nx)) + 1j * rng.normal(size=(ny, nx))
+    return values, multiplier, stride
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=strided_stacks(), in_place=st.booleans())
+def test_strided_sandwich_samples_the_full_result(case, in_place):
+    # the folded spectrum's small inverse transform gives the pixel centres
+    # [s//2::s, s//2::s] of the full sandwich, on odd and even grids
+    values, multiplier, s = case
+    before = values.copy()
+    full = spectral_multiply(before, multiplier)
+    expected = full[:, s // 2 :: s, s // 2 :: s]
+    got = spectral_multiply(values, multiplier, out=values if in_place else None, stride=s)
+    assert got.shape == expected.shape
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+    if s == 1:
+        # the engine's path: the out-of-place transforms, byte for byte
+        axes = (-2, -1)
+        assert got.tobytes() == scipy.fft.ifft2(
+            scipy.fft.fft2(before, axes=axes) * multiplier, axes=axes
+        ).tobytes()
+    if not in_place:
+        assert values.tobytes() == before.tobytes()
+
+
+def test_strided_sandwich_rejects_a_stride_not_dividing_the_grid():
+    values = np.ones((1, 12, 9), np.complex128)
+    for stride in (0, 2, 5):
+        with pytest.raises(ValueError, match="stride"):
+            spectral_multiply(values, np.ones((12, 9)), stride=stride)
 
 
 def test_transfer_function_cached_conjugate():
