@@ -8,6 +8,7 @@ carries magic plus version so corruption fails loudly.
 from __future__ import annotations
 
 import gzip
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -153,7 +154,13 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     payload = b"".join(parts)
     payload += struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
-    Path(path).write_bytes(payload)
+    # Replacing a complete, synced file keeps the previous checkpoint whole if a write fails.
+    tmp = Path(f"{path}.tmp")
+    with open(tmp, "wb") as f:
+        f.write(payload)
+        f.flush()
+        os.fsync(f.fileno())
+    os.replace(tmp, path)
 
 
 class _Reader:

@@ -117,8 +117,21 @@ class EncodeSpec:
             raise ValueError("target_power must be positive")
 
 
+def check_images(images: np.ndarray) -> np.ndarray:
+    """A (batch, h, w) stack of images in [0, 1] as float64; ValueError names a blank one."""
+    imgs = np.asarray(images, dtype=np.float64)
+    if imgs.ndim != 3:
+        raise ValueError(f"expected (batch, h, w) images, got {imgs.shape}")
+    if imgs.max() > 1.0 or imgs.min() < 0.0:
+        raise ValueError("image values must lie in [0, 1]")
+    blank = np.flatnonzero(~imgs.any(axis=(1, 2)))
+    if blank.size:
+        raise ValueError(f"degenerate input: zero total power in sample {blank[0]}")
+    return imgs
+
+
 def encode_batch(
-    images: np.ndarray, grid: GridSpec, spec: EncodeSpec
+    images: np.ndarray, grid: GridSpec, spec: EncodeSpec, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Encode a stack of images in [0, 1] as power-normalized coherent fields.
 
@@ -126,19 +139,14 @@ def encode_batch(
     root of the pixel value (field amplitude encodes intensity), carries
     the constant encoding phase, and every field is scaled so its total
     power equals ``spec.target_power``. Pixels outside the image
-    footprint are zero. Returns complex values shaped (batch, ny, nx).
+    footprint are zero. Returns complex values shaped (batch, ny, nx),
+    in ``out`` when it is given.
 
     Raises:
-        ValueError: if an image is identically zero (normalization is
-            undefined; the message names the sample), has values outside
-            [0, 1], or the upsampled footprint does not fit in the grid.
+        ValueError: as :func:`check_images`, or if the upsampled
+            footprint does not fit in the grid.
     """
-    imgs = np.asarray(images, dtype=np.float64)
-    if imgs.ndim != 3:
-        raise ValueError(f"expected (batch, h, w) images, got {imgs.shape}")
-    if imgs.max() > 1.0 or imgs.min() < 0.0:
-        raise ValueError("image values must lie in [0, 1]")
-    amp = np.sqrt(imgs)
+    amp = np.sqrt(check_images(images))
     if spec.upsample > 1:
         amp = np.repeat(np.repeat(amp, spec.upsample, axis=1), spec.upsample, axis=2)
     b, h, w = amp.shape
@@ -152,15 +160,14 @@ def encode_batch(
             f"image footprint {w}x{h} at offset ({x0}, {y0}) exceeds "
             f"grid {grid.nx}x{grid.ny}"
         )
+    # no image is blank, so every power is positive: sqrt(x)**2 > 0 for x > 0
     power = np.einsum("bij,bij->b", amp, amp)
-    blank = np.flatnonzero(power == 0.0)
-    if blank.size:
-        raise ValueError(f"degenerate input: zero total power in sample {blank[0]}")
-    values = np.zeros((b, grid.ny, grid.nx), dtype=np.complex128)
-    window = values[:, y0 : y0 + h, x0 : x0 + w]
+    out = np.empty((b, grid.ny, grid.nx), dtype=np.complex128) if out is None else out
+    out[...] = 0.0
+    window = out[:, y0 : y0 + h, x0 : x0 + w]
     np.multiply(amp, np.sqrt(spec.target_power / power)[:, None, None], out=window.real)
     window *= np.exp(1j * spec.phase)
-    return values
+    return out
 
 
 def encode_input(image: np.ndarray, grid: GridSpec, spec: EncodeSpec) -> ComplexField:

@@ -4,7 +4,7 @@ A layer multiplies the incident field pointwise by ``exp(j*phase)``; the
 network alternates layers with free-space propagation over fixed
 distances. The whole stack is linear in the complex field amplitude, and
 since every stage is unit-modulus or power-preserving it never adds
-power. The batched forward and adjoint passes live in :mod:`donn.training`.
+power. The batched forward and adjoint passes live in :mod:`donn.engine`.
 """
 
 from __future__ import annotations

@@ -62,26 +62,26 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's thr
     os.register_at_fork(after_in_child=_new_pool)
 
 
-def map_chunks(task, shape: tuple[int, ...], scratch=None) -> None:
+def map_chunks(task, shape: tuple[int, ...], slots: int = 0) -> None:
     """Run ``task(rows, workers, buffer)`` over ``CHUNK_ROWS``-row slices of a stack.
 
     ``shape`` is the (batch, ny, nx) shape of the stack and ``workers`` the
     FFT worker count for a chunk. Arrays are allocated in the calling
-    thread only: given a ``scratch`` dtype, each job reuses one one-chunk
-    ``buffer`` for its temporaries. With one worker or one chunk, the
-    chunks run in order in the calling thread, and the bytes are the same.
+    thread only: given ``slots``, each job reuses one (slots, rows, ny, nx)
+    complex ``buffer`` for its temporaries. With one worker or one chunk,
+    the chunks run in order in the calling thread, and the bytes are the same.
     """
     n, pool = shape[0], _POOL
     starts = range(0, n, CHUNK_ROWS)
     jobs = 1 if pool is None else min(FFT_WORKERS, len(starts))
     workers = FFT_WORKERS if jobs == 1 else 1
     buffers = None
-    if scratch is not None:
-        buffers = np.empty((jobs, min(n, CHUNK_ROWS)) + tuple(shape[1:]), scratch)
+    if slots:
+        buffers = np.empty((jobs, slots, min(n, CHUNK_ROWS)) + tuple(shape[1:]), np.complex128)
 
     def run(job):
         for start in starts[job::jobs]:
-            buffer = None if buffers is None else buffers[job][: n - start]
+            buffer = None if buffers is None else buffers[job][:, : n - start]
             task(slice(start, start + CHUNK_ROWS), workers, buffer)
 
     if jobs == 1:
@@ -91,6 +91,15 @@ def map_chunks(task, shape: tuple[int, ...], scratch=None) -> None:
     wait(futures)
     for future in futures:
         future.result()
+
+
+def spectral_chunk(chunk: np.ndarray, multiplier: np.ndarray, workers: int, inverse: bool = True):
+    """:func:`spectral_multiply` on one chunk, in place; ``inverse=False`` stops at the spectrum."""
+    _fft.fft2(chunk, axes=(-2, -1), overwrite_x=True, workers=workers)
+    np.multiply(chunk, multiplier, out=chunk)
+    if inverse:
+        _fft.ifft2(chunk, axes=(-2, -1), overwrite_x=True, workers=workers)
+    return chunk
 
 
 def spectral_multiply(
@@ -129,10 +138,8 @@ def spectral_multiply(
         chunk = out[rows]
         if out is not values:
             chunk[...] = values[rows]
-        _fft.fft2(chunk, axes=(-2, -1), overwrite_x=True, workers=workers)
-        np.multiply(chunk, multiplier, out=chunk)
+        spectral_chunk(chunk, multiplier, workers, inverse=stride == 1)
         if stride == 1:
-            _fft.ifft2(chunk, axes=(-2, -1), overwrite_x=True, workers=workers)
             return
         np.multiply(chunk, twiddle_y, out=chunk)
         folded = chunk[:, :my]

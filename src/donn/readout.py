@@ -97,6 +97,15 @@ class DegenerateScoresError(ValueError):
     """All detector regions received zero energy; the loss is undefined."""
 
 
+def check_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """Raise IndexError naming the first label outside [0, n_classes)."""
+    labels = np.asarray(labels)
+    bad = np.flatnonzero((labels < 0) | (labels >= n_classes))
+    if bad.size:
+        raise IndexError(f"label {labels[bad[0]]} of sample {bad[0]} out of range for {n_classes} classes")
+    return labels
+
+
 def softmax_cross_entropy(
     scores: np.ndarray,
     labels: np.ndarray,
@@ -123,12 +132,7 @@ def softmax_cross_entropy(
             a sample are zero (no energy reached any detector).
     """
     b, n = scores.shape
-    labels = np.asarray(labels)
-    bad = np.flatnonzero((labels < 0) | (labels >= n))
-    if bad.size:
-        raise IndexError(
-            f"label {labels[bad[0]]} of sample {bad[0]} out of range for {n} classes"
-        )
+    labels = check_labels(labels, n)
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     rows = np.arange(b)

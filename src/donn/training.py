@@ -1,11 +1,11 @@
 """End-to-end training of phase layers through the optical stack.
 
-Gradients are computed by the adjoint method: the loss sensitivity at the
-detector plane is pulled back through each propagation stage with the
-conjugated transfer function and through each phase layer with the
-conjugated modulation, turning cached forward fields into exact per-pixel
-phase derivatives. Optimization is Adam with a cosine learning-rate
-schedule over epochs.
+The engine (:mod:`donn.engine`) computes gradients by the adjoint method:
+the loss sensitivity at the detector plane is pulled back through each
+propagation stage with the conjugated transfer function and through each
+phase layer with the conjugated modulation, turning cached forward fields
+into exact per-pixel phase derivatives. Optimization is Adam with a cosine
+learning-rate schedule over epochs.
 
 All batch reductions run in a fixed sample order, so a (seed, config,
 data) triple reproduces a run bit for bit on one platform.
@@ -18,11 +18,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import kernels
-from .fields import ComplexField, EncodeSpec, GridSpec, encode_batch
+from . import engine
+from .fields import ComplexField, EncodeSpec, GridSpec
 from .network import OpticalNetwork, random_init
-from .propagation import adjoint_propagate_array, cached_transfer_function, propagate_array
-from .readout import DetectorLayout, batch_class_scores, softmax_cross_entropy
+from .readout import DetectorLayout, batch_class_scores
 
 # Encoding used when none is supplied: 28x28 inputs upsampled 3x and
 # centered, leaving a zero border that damps periodic wrap-around.
@@ -122,97 +121,6 @@ def cosine_lr(epoch: int, total_epochs: int, base_lr: float) -> float:
     return base_lr * 0.5 * (1.0 + np.cos(np.pi * epoch / total_epochs))
 
 
-# ---------------------------------------------------------------------------
-# batched forward / adjoint engine (arrays shaped (batch, ny, nx))
-# ---------------------------------------------------------------------------
-
-
-def _forward_batch(
-    net: OpticalNetwork,
-    values: np.ndarray,
-    keep_post: bool,
-    noise_sigma: float = 0.0,
-    noise_rng: np.random.Generator | None = None,
-):
-    """Run a batch through the stack.
-
-    Returns ``(output, post_fields, eff_phases)`` where ``post_fields``
-    holds the field right after each modulation (what the phase gradient
-    needs) and ``eff_phases`` the phase actually applied per layer, which
-    differs from the stored parameters only under noise injection.
-    """
-    grid = net.grid
-    given = values
-    if net.input_distance > 0.0:
-        values = propagate_array(
-            values, cached_transfer_function(grid, net.input_distance)
-        )
-    post_fields: list[np.ndarray] = []
-    eff_phases: list[np.ndarray] = []
-    for layer, dist in zip(net.layers, net.distances):
-        eff = layer.phase
-        if noise_sigma > 0.0:
-            eff = eff[None, :, :] + noise_sigma * noise_rng.standard_normal(values.shape)
-        # Stacks this pass made are dead once used: modulate them in place,
-        # and propagate in place unless the modulated field is kept.
-        values = kernels.apply_phase(values, eff, 1.0, out=None if values is given else values)
-        if keep_post:
-            post_fields.append(values)
-            eff_phases.append(eff)
-        values = propagate_array(
-            values, cached_transfer_function(grid, dist), out=None if keep_post else values
-        )
-    return values, post_fields, eff_phases
-
-
-def _pixel_sensitivity(
-    dl_dscores: np.ndarray, layout: DetectorLayout, shape: tuple[int, ...]
-) -> np.ndarray:
-    """Spread per-class score sensitivities over their detector pixels."""
-    g = np.zeros(shape)
-    for c, (x0, y0, x1, y1) in enumerate(layout.regions):
-        g[:, y0 : y1 + 1, x0 : x1 + 1] = dl_dscores[:, c, None, None]
-    return g
-
-
-def _loss_and_gradients_batch(
-    net: OpticalNetwork,
-    values: np.ndarray,
-    labels: np.ndarray,
-    layout: DetectorLayout,
-    temperature: float,
-    normalize: bool,
-    noise_sigma: float = 0.0,
-    noise_rng: np.random.Generator | None = None,
-) -> tuple[float, list[np.ndarray], np.ndarray]:
-    """Mean loss, mean per-layer phase gradients, and raw scores for a batch."""
-    out, post_fields, eff_phases = _forward_batch(
-        net, values, keep_post=True, noise_sigma=noise_sigma, noise_rng=noise_rng
-    )
-    b = values.shape[0]
-    intensity = kernels.intensity(out)
-    scores = batch_class_scores(intensity, layout)
-    losses, dl_ds = softmax_cross_entropy(scores, labels, temperature, normalize)
-
-    # Seed of the adjoint pass: dL/dU* = (dL/dI) * U at the detector plane.
-    # The adjoint stack then overwrites the detector field in every stage.
-    adjoint = np.multiply(_pixel_sensitivity(dl_ds, layout, out.shape), out, out=out)
-
-    grads: list[np.ndarray] = [None] * net.depth
-    for idx in range(net.depth - 1, -1, -1):
-        tf = cached_transfer_function(net.grid, net.distances[idx])
-        adjoint = adjoint_propagate_array(adjoint, tf, out=adjoint)
-        grads[idx] = kernels.phase_gradient(post_fields[idx], adjoint) / b
-        if idx > 0:
-            adjoint = kernels.apply_phase(adjoint, eff_phases[idx], -1.0, out=adjoint)
-    return float(losses.mean()), grads, scores
-
-
-# ---------------------------------------------------------------------------
-# public operations
-# ---------------------------------------------------------------------------
-
-
 def loss_and_gradients(
     net: OpticalNetwork,
     field: ComplexField,
@@ -229,13 +137,8 @@ def loss_and_gradients(
     """
     if field.grid != net.grid or layout.grid != net.grid:
         raise ValueError("field, layout, and network must share one grid")
-    loss, grads, _ = _loss_and_gradients_batch(
-        net,
-        field.values[None, :, :],
-        np.array([label]),
-        layout,
-        temperature,
-        normalize,
+    loss, grads, _ = engine.train_pass(
+        net, field.values[None, :, :], np.array([label]), layout, temperature, normalize
     )
     return loss, grads
 
@@ -289,10 +192,13 @@ def evaluate(
     layout: DetectorLayout,
     encode: EncodeSpec = DEFAULT_ENCODE,
     batch_size: int = 256,
+    clock: engine.StageClock | None = None,
 ) -> tuple[float, np.ndarray]:
     """Accuracy and per-class confusion counts over a dataset.
 
     ``confusion[i, j]`` counts samples of true class i predicted as j.
+    The class scores of each batch are taken in the calling thread.
+    ``clock``, when given, collects the engine's stage times.
     """
     n = len(labels)
     if n == 0:
@@ -302,9 +208,8 @@ def evaluate(
     correct = 0
     for start in range(0, n, batch_size):
         stop = min(start + batch_size, n)
-        values = encode_batch(_to_unit(images[start:stop]), net.grid, encode)
-        out, _, _ = _forward_batch(net, values, keep_post=False)
-        scores = batch_class_scores(kernels.intensity(out), layout)
+        power = engine.eval_pass(net, _to_unit(images[start:stop]), encode, clock)
+        scores = batch_class_scores(power, layout)
         pred = np.argmax(scores, axis=1)
         truth = np.asarray(labels[start:stop], dtype=np.int64)
         correct += int((pred == truth).sum())
@@ -332,6 +237,7 @@ def train(
     initial_state: AdamState | None = None,
     start_epoch: int = 0,
     log_fn=None,
+    clock: engine.StageClock | None = None,
 ) -> TrainResult:
     """Train a network for ``config.epochs`` epochs of mini-batch Adam.
 
@@ -344,7 +250,8 @@ def train(
 
     Each epoch's shuffle and noise come from ``(config.seed, epoch)``, so
     resuming at ``start_epoch`` with the state saved there continues the
-    uninterrupted run bit for bit.
+    uninterrupted run bit for bit. ``clock``, when given, collects the
+    engine's stage times.
     """
     n = len(train_labels)
     if n == 0:
@@ -364,16 +271,9 @@ def train(
         losses = []
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            values = encode_batch(train_images[idx], current.grid, encode)
-            loss, grads, _ = _loss_and_gradients_batch(
-                current,
-                values,
-                labels_arr[idx],
-                layout,
-                config.temperature,
-                config.normalize_scores,
-                noise_sigma=config.phase_noise_sigma,
-                noise_rng=noise_rng,
+            loss, grads, _ = engine.train_pass(
+                current, train_images[idx], labels_arr[idx], layout, config.temperature,
+                config.normalize_scores, config.phase_noise_sigma, noise_rng, encode, clock,
             )
             if not np.isfinite(loss):
                 raise RuntimeError(
@@ -390,7 +290,7 @@ def train(
         if test_labels is not None and len(test_labels) and (
             (epoch + 1) % config.eval_every == 0 or last
         ):
-            acc, _ = evaluate(current, test_images, test_labels, layout, encode)
+            acc, _ = evaluate(current, test_images, test_labels, layout, encode, clock=clock)
         row = EpochRecord(
             epoch=epoch,
             loss=float(np.mean(losses)),

@@ -1,4 +1,6 @@
+import errno
 import gzip
+import os
 import struct
 
 import numpy as np
@@ -99,6 +101,27 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     path2 = tmp_path / "b.ckpt"
     save_checkpoint(got, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_failed_checkpoint_write_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(make_ckpt(), path)
+    before = path.read_bytes()
+    newer = make_ckpt()
+    newer.epoch = 4
+
+    def torn_write(fd):
+        os.ftruncate(fd, 100)  # the disk filled up part-way through the payload
+        raise OSError(errno.ENOSPC, "no space left on device")
+
+    monkeypatch.setattr(os, "fsync", torn_write)
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(newer, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert load_checkpoint(path).epoch == 3
+    save_checkpoint(newer, path)
+    assert load_checkpoint(path).epoch == 4
 
 
 def test_checkpoint_without_optimizer_state(tmp_path):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from donn import engine
+from donn.engine import Forward, modulate
 from donn.fields import GridSpec, wrap_phase
-from donn.kernels import apply_phase, intensity
 from donn.network import OpticalNetwork, PhaseLayer, random_init
 from donn.propagation import propagate_array, transfer_function
-from donn.training import _forward_batch
 
 GRID = GridSpec(16, 16, 1e-6, 0.5e-6)
 TWO_PI = 2.0 * np.pi
@@ -18,9 +18,19 @@ def random_field(seed=0, grid=GRID, batch=1):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-def forward(net, values):
-    out, _, _ = _forward_batch(net, values, keep_post=False)
+def forward(net, values, kept=None):
+    out = np.empty_like(values)
+    Forward(net, values).run(out, kept=kept)
     return out
+
+
+def apply_phase(field, phase, sign):
+    mask = np.exp(1j * sign * phase) if phase.ndim == 2 else phase
+    return modulate(field, mask, sign, np.empty_like(field), np.empty_like(field))
+
+
+def intensity(values):
+    return engine.intensity(values, np.empty(values.shape), np.empty(values.shape))
 
 
 def power(values):
@@ -76,10 +86,11 @@ def test_forward_single_layer_zero_phase_is_propagation():
     d = 9e-6
     net = OpticalNetwork(GRID, (PhaseLayer(GRID, np.zeros(GRID.shape)),), (d,))
     f = random_field(5)
-    out, post, eff = _forward_batch(net, f, keep_post=True)
+    post = np.empty((1,) + f.shape, complex)
+    out = forward(net, f, post)
     direct = propagate_array(f, transfer_function(GRID, d))
     assert np.abs(out - direct).max() < 1e-13
-    assert len(post) == 1 and len(eff) == 1
+    assert len(post) == 1 and len(Forward(net, f).phases) == 1
     assert np.array_equal(post[0], f)
 
 
@@ -117,7 +128,9 @@ def test_trace_consistency():
     # the first layer's distance becomes the tail's input distance
     net = random_init(GRID, 3, [8e-6, 6e-6, 4e-6], seed=3)
     f = random_field(10, batch=2)
-    out, post, eff = _forward_batch(net, f, keep_post=True)
+    post = np.empty((3,) + f.shape, complex)
+    out = forward(net, f, post)
+    eff = Forward(net, f).phases
     assert all(np.array_equal(e, layer.phase) for e, layer in zip(eff, net.layers))
     tail = OpticalNetwork(GRID, net.layers[1:], net.distances[1:], net.distances[0])
     replay = forward(tail, post[0])

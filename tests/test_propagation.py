@@ -240,6 +240,27 @@ def test_power_conservation_on_propagating_modes():
         assert abs(p1 - p0) / p0 < 1e-10
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    nx=st.integers(2, 25),
+    ny=st.integers(2, 25),
+    wavelength=st.floats(0.2e-6, 3e-6),
+    distance=st.floats(0.0, 60e-6),
+    batch=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_power_conservation_random_grids(nx, ny, wavelength, distance, batch, seed):
+    # |H| = 1 on the propagating disc, so a band-limited stack keeps each
+    # sample's power, on grids with and without an evanescent band
+    grid = GridSpec(nx, ny, 1e-6, wavelength)
+    rng = np.random.default_rng(seed)
+    shape = (batch,) + grid.shape
+    u = spectral_multiply(rng.normal(size=shape) + 1j * rng.normal(size=shape), propagating_mask(grid))
+    p0 = (np.abs(u) ** 2).sum(axis=(1, 2))
+    p1 = (np.abs(propagate_array(u, transfer_function(grid, distance))) ** 2).sum(axis=(1, 2))
+    assert np.all(np.abs(p1 - p0) <= 1e-10 * p0)
+
+
 def test_composition_of_distances():
     grid = EVANESCENT_GRID
     f = random_field(grid, 7)

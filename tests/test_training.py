@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import donn
 import synthdigits
+from donn import engine
 from donn.fields import ComplexField, EncodeSpec, GridSpec, encode_batch
 from donn.network import OpticalNetwork, PhaseLayer, random_init
 from donn.readout import DegenerateScoresError, DetectorLayout
@@ -91,13 +92,11 @@ def test_gradient_null_along_global_phase_direction():
 
 
 def test_batch_mean_of_duplicated_sample():
-    from donn.training import _loss_and_gradients_batch
-
     net = random_init(GRID, 2, [9e-6] * 2, seed=6)
     field = random_field(7)
     loss1, grads1 = loss_and_gradients(net, field, 1, LAYOUT4)
     values = np.stack([field.values, field.values])
-    loss2, grads2, _ = _loss_and_gradients_batch(
+    loss2, grads2, _ = engine.train_pass(
         net, values, np.array([1, 1]), LAYOUT4, 0.1, True
     )
     assert loss2 == pytest.approx(loss1, rel=1e-12)
@@ -242,13 +241,11 @@ def test_resume_continues_uninterrupted_run_bit_for_bit():
 
 
 def test_noise_injection_leaves_parameters_alone():
-    from donn.training import _forward_batch
-
     net = random_init(GRID, 2, [8e-6] * 2, seed=2)
     before = [l.phase.copy() for l in net.layers]
     rng = np.random.default_rng(0)
     values = np.ones((3,) + GRID.shape, dtype=np.complex128)
-    _forward_batch(net, values, keep_post=True, noise_sigma=0.5, noise_rng=rng)
+    engine.train_pass(net, values, np.arange(3), LAYOUT4, 0.1, True, 0.5, rng)
     for prev, layer in zip(before, net.layers):
         assert np.array_equal(prev, layer.phase)
 
@@ -265,7 +262,10 @@ def test_noise_injection_leaves_parameters_alone():
 def test_forward_batch_rows_independent(nx, ny, depth, batch, input_distance, seed):
     # a stack gives each row what a batch of one gives it; the single-sample
     # views (loss_and_gradients, encode_input, propagate) rely on this
-    from donn.training import _forward_batch
+    def forward(values):
+        out, post = np.empty_like(values), np.empty((depth,) + values.shape, complex)
+        engine.Forward(net, values).run(out, kept=post)
+        return out, list(post)
 
     grid = GridSpec(nx, ny, 1e-6, 0.5e-6)
     rng = np.random.default_rng(seed)
@@ -273,9 +273,9 @@ def test_forward_batch_rows_independent(nx, ny, depth, batch, input_distance, se
     net = OpticalNetwork(grid, net.layers, net.distances, input_distance)
     shape = (batch,) + grid.shape
     values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    out, post, _ = _forward_batch(net, values, keep_post=True)
+    out, post = forward(values)
     for i in range(batch):
-        row_out, row_post, _ = _forward_batch(net, values[i : i + 1], keep_post=True)
+        row_out, row_post = forward(values[i : i + 1])
         for whole, row in zip([out] + post, [row_out] + row_post):
             assert np.abs(whole[i] - row[0]).max() <= 1e-12 * np.abs(whole[i]).max()
 
@@ -310,13 +310,10 @@ def test_evaluate_single_sample_forced_correct():
     # label the sample with whatever class its output argmax lands in;
     # accuracy is then 1.0 by construction
     from donn.readout import batch_class_scores
-    from donn.training import _forward_batch
 
     imgs, _ = tiny_images(1, 6)
     net = random_init(GRID, 1, [8e-6], seed=6)
-    values = encode_batch(imgs, GRID, TINY_ENCODE)
-    out, _, _ = _forward_batch(net, values, keep_post=False)
-    scores = batch_class_scores(out.real**2 + out.imag**2, LAYOUT4)
+    scores = batch_class_scores(engine.eval_pass(net, imgs, TINY_ENCODE), LAYOUT4)
     forced_label = np.argmax(scores, axis=1).astype(np.uint8)
     acc, _ = evaluate(net, imgs, forced_label, LAYOUT4, TINY_ENCODE)
     assert acc == 1.0
@@ -354,7 +351,7 @@ def test_overfit_smoke_100_samples(dataset_dir):
 
     from donn.cli import _load_split
     from donn.readout import default_detector_layout
-    from donn.training import DEFAULT_ENCODE, _loss_and_gradients_batch
+    from donn.training import DEFAULT_ENCODE
 
     ds = _load_split(Path(dataset_dir), "train")
     images, labels = ds.images[:100], ds.labels[:100].astype(np.int64)
@@ -367,7 +364,7 @@ def test_overfit_smoke_100_samples(dataset_dir):
     horizon = 250  # schedule horizon longer than the probe, as in a real run
     reached = False
     for step in range(200):
-        loss, grads, _ = _loss_and_gradients_batch(
+        loss, grads, _ = engine.train_pass(
             net, values, labels, layout, cfg.temperature, True
         )
         if loss < 0.1:
