@@ -9,11 +9,15 @@ keep one operand order (``a*b`` and ``b*a`` can differ in the last bit):
 mask per sample, ``sensitivity * field`` for the adjoint seed and
 ``conj(adjoint) * post`` for the gradient. Noise is drawn and inputs are
 checked (errors name the sample's index) for the whole batch before the
-dispatch; the calling thread averages the losses and sums the gradient rows.
+dispatch; the calling thread averages the losses. Each chunk adds its
+gradient rows, one sample at a time, into one per-layer sum once the chunk
+before it has, so the rows are added in sample order, from +0, as
+``rows.sum(axis=0)`` adds them.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import Counter
 
@@ -129,9 +133,10 @@ def train_pass(
     unmask = [np.exp(1j * -1.0 * p) if p.ndim == 2 else p for p in forward.phases]
     if clock is not None: clock.tick("setup")
     shape = (b,) + net.grid.shape
-    losses, scores, grad_rows = np.empty(b), np.empty((b, layout.n_classes)), np.empty((depth,) + shape)
+    losses, scores, total = np.empty(b), np.empty((b, layout.n_classes)), np.zeros((depth,) + net.grid.shape)
+    turns = [threading.Event() for _ in range(0, b, CHUNK_ROWS)]  # turns[k]: chunk k has added its rows
 
-    def job(rows, workers, slots, lap):
+    def pass_chunk(rows, workers, slots, lap):
         work, scratch, kept = slots[0], slots[1], slots[2:]
         forward.run(work, rows, kept, scratch, workers, lap)
         power = intensity(work, scratch.real, scratch.imag)
@@ -147,18 +152,31 @@ def train_pass(
         for l in range(depth - 1, -1, -1):
             spectral_chunk(work, forward.transfers[l].conjugate, workers)
             if lap is not None: lap.tick("adjoint", 2 * len(work))
-            np.multiply(np.conj(work, out=scratch), kept[l], out=scratch)
-            grad_rows[l, rows] = scratch.imag
+            np.multiply(np.conj(work, out=scratch), kept[l], out=kept[l])
             if lap is not None: lap.tick("phase_grad")
             if l > 0:
                 modulate(work, unmask[l], -1.0, work, scratch, rows)
                 if lap is not None: lap.tick("modulate")
 
+    def job(rows, workers, slots, lap):
+        k = rows.start // CHUNK_ROWS
+        try:
+            pass_chunk(rows, workers, slots, lap)
+            if k:
+                turns[k - 1].wait()
+            for layer_total, kept in zip(total, slots[2:]):  # kept: conj(adjoint) * post
+                for row in kept.imag:
+                    np.add(layer_total, row, out=layer_total)
+            if lap is not None: lap.tick("phase_grad")
+        except BaseException:
+            for turn in turns:  # chunks this job will not run must not hold up the others
+                turn.set()
+            raise
+        finally:
+            turns[k].set()
+
     _dispatch(job, shape, depth + 2, clock)
-    if clock is not None: clock.start()
-    grads = [-2.0 * rows.sum(axis=0) / b for rows in grad_rows]
-    if clock is not None: clock.tick("phase_grad")
-    return float(losses.mean()), grads, scores
+    return float(losses.mean()), [-2.0 * t / b for t in total], scores
 
 
 def eval_pass(net, inputs, encode=None, clock: StageClock | None = None) -> np.ndarray:

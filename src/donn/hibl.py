@@ -109,35 +109,38 @@ class FabricationModel:
 
 def carrier_phase_field(grid: GridSpec, ref: ReferenceSpec) -> np.ndarray:
     """Reference-beam phase sampled at pixel centers ``(ix, iy) * pitch``."""
+    return _carrier_rows(grid, ref, slice(None), np.empty(grid.shape))
+
+
+def _carrier_rows(grid: GridSpec, ref: ReferenceSpec, rows: slice, out: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of :func:`carrier_phase_field`, written into ``out``."""
     x = np.arange(grid.nx) * grid.pitch
-    y = np.arange(grid.ny) * grid.pitch
-    return TWO_PI * (ref.carrier[0] * x[None, :] + ref.carrier[1] * y[:, None])
+    y = np.arange(grid.ny)[rows] * grid.pitch
+    np.add(ref.carrier[0] * x[None, :], ref.carrier[1] * y[:, None], out=out)
+    return np.multiply(TWO_PI, out, out=out)
 
 
 def encode_hologram(layer: PhaseLayer, ref: ReferenceSpec) -> Hologram:
     """Record a phase profile as an off-axis interference pattern.
 
     The fringe runs in row chunks on the core pool of
-    :mod:`donn.propagation`; the bytes do not depend on the core count.
+    :mod:`donn.propagation`, each job building its own rows of the
+    carrier phase; the bytes do not depend on the core count.
     """
     ref.check_nyquist(layer.grid)
     a_o, a_r = ref.object_amplitude, ref.reference_amplitude
     bias, gain = a_o * a_o + a_r * a_r, 2.0 * a_o * a_r
-    # The (ny, nx) stages run as (ny, 1, nx) stacks, CHUNK_ROWS rows at a time.
-    rows_shape = (layer.grid.ny, 1, layer.grid.nx)
-    theta = carrier_phase_field(layer.grid, ref).reshape(rows_shape)
-    phase = layer.phase.reshape(rows_shape)
-    h = np.empty(rows_shape)
+    h = np.empty(layer.grid.shape)
 
     def fringe(rows, workers, _):  # bias + gain * cos(phase - theta)
-        chunk = h[rows]
-        np.subtract(phase[rows], theta[rows], out=chunk)
+        chunk = _carrier_rows(layer.grid, ref, rows, h[rows])
+        np.subtract(layer.phase[rows], chunk, out=chunk)
         np.cos(chunk, out=chunk)
         np.multiply(gain, chunk, out=chunk)
         np.add(bias, chunk, out=chunk)
 
-    map_chunks(fringe, rows_shape)
-    return Hologram(layer.grid, h.reshape(layer.grid.shape))
+    map_chunks(fringe, h.shape)
+    return Hologram(layer.grid, h)
 
 
 def circular_mean(phase: np.ndarray) -> float:
@@ -180,6 +183,10 @@ def reconstruct_phase(
     pixels (:func:`donn.propagation.spectral_multiply` with ``stride``),
     so only one inverse transform of the coarse grid's size runs.
 
+    The demodulation and the window are built in row chunks on the core
+    pool of :mod:`donn.propagation`, straight into the batch of one that
+    the transform takes; the bytes do not depend on the core count.
+
     Raises:
         ValueError: zero carrier (orders overlap, on-axis readout is
             not supported), a window radius beyond the carrier offset, a
@@ -204,14 +211,23 @@ def reconstruct_phase(
             f"reference phase shape {np.shape(reference_phase)} is not the "
             f"sampled shape {sampled} at stride {stride}"
         )
-    fx, fy = frequency_coordinates(grid)
-    window = fx[None, :] ** 2 + fy[:, None] ** 2 <= window_radius**2
     # demodulate: intensity * exp(1j*theta_r), with the carrier split by axis
     x = np.arange(grid.nx) * grid.pitch
     y = np.arange(grid.ny) * grid.pitch
-    baseband = holo.intensity * np.exp(1j * TWO_PI * ref.carrier[0] * x)[None, :]
-    baseband *= np.exp(1j * TWO_PI * ref.carrier[1] * y)[:, None]
-    stack = baseband[None]  # a batch of one that only this call holds
+    ex = np.exp(1j * TWO_PI * ref.carrier[0] * x)[None, :]
+    ey = np.exp(1j * TWO_PI * ref.carrier[1] * y)[:, None]
+    fx, fy = frequency_coordinates(grid)
+    fx2 = fx[None, :] ** 2
+    stack = np.empty((1,) + grid.shape, np.complex128)  # a batch of one
+    window = np.empty(grid.shape, bool)
+
+    def demodulate(rows, workers, _):  # and the window, a disc about baseband
+        np.less_equal(fx2 + fy[rows, None] ** 2, window_radius**2, out=window[rows])
+        baseband = stack[0, rows]
+        np.multiply(holo.intensity[rows], ex, out=baseband)
+        np.multiply(baseband, ey[rows], out=baseband)
+
+    map_chunks(demodulate, grid.shape)
     phi = wrap_phase(np.angle(spectral_multiply(stack, window, out=stack, stride=stride)[0]))
     target = 0.0 if reference_phase is None else circular_mean(reference_phase)
     coarse = GridSpec(sampled[1], sampled[0], grid.pitch * stride, grid.wavelength)

@@ -65,11 +65,12 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's thr
 def map_chunks(task, shape: tuple[int, ...], slots: int = 0) -> None:
     """Run ``task(rows, workers, buffer)`` over ``CHUNK_ROWS``-row slices of a stack.
 
-    ``shape`` is the (batch, ny, nx) shape of the stack and ``workers`` the
-    FFT worker count for a chunk. Arrays are allocated in the calling
-    thread only: given ``slots``, each job reuses one (slots, rows, ny, nx)
-    complex ``buffer`` for its temporaries. With one worker or one chunk,
-    the chunks run in order in the calling thread, and the bytes are the same.
+    ``shape`` is the (batch, ny, nx) shape of the stack, split on its
+    first axis, and ``workers`` the FFT worker count for a chunk. Arrays
+    are allocated in the calling thread only: given ``slots``, each job
+    reuses one (slots, rows, ny, nx) complex ``buffer`` for its
+    temporaries. With one worker or one chunk, the chunks run in order in
+    the calling thread, and the bytes are the same.
     """
     n, pool = shape[0], _POOL
     starts = range(0, n, CHUNK_ROWS)
@@ -93,12 +94,11 @@ def map_chunks(task, shape: tuple[int, ...], slots: int = 0) -> None:
         future.result()
 
 
-def spectral_chunk(chunk: np.ndarray, multiplier: np.ndarray, workers: int, inverse: bool = True):
-    """:func:`spectral_multiply` on one chunk, in place; ``inverse=False`` stops at the spectrum."""
+def spectral_chunk(chunk: np.ndarray, multiplier: np.ndarray, workers: int):
+    """:func:`spectral_multiply` on one chunk, in place."""
     _fft.fft2(chunk, axes=(-2, -1), overwrite_x=True, workers=workers)
     np.multiply(chunk, multiplier, out=chunk)
-    if inverse:
-        _fft.ifft2(chunk, axes=(-2, -1), overwrite_x=True, workers=workers)
+    _fft.ifft2(chunk, axes=(-2, -1), overwrite_x=True, workers=workers)
     return chunk
 
 
@@ -110,17 +110,24 @@ def spectral_multiply(
     This is the package's one FFT sandwich: propagation, its adjoint,
     bandlimiting and the HIBL readout all run through it. ``values`` is
     never written unless it is ``out``: the engine keeps
-    post-modulation fields for the phase gradient. Each chunk is copied
-    into ``out`` and transformed, multiplied and transformed back there.
+    post-modulation fields for the phase gradient. At ``stride = 1``
+    each ``CHUNK_ROWS``-sample chunk is copied into ``out`` and
+    transformed, multiplied and transformed back there, one pool job
+    per chunk.
 
     ``stride = s > 1`` (dividing both grid axes) returns only the samples
     ``[:, s//2::s, s//2::s]`` of the result, as a new
     (batch, ny/s, nx/s) array, and ``out`` is left holding spent
-    spectra. The multiplied spectrum is folded onto the coarse grid, one
-    axis at a time: each axis is multiplied by the twiddle
+    spectra. The forward transform runs as its two passes, which give
+    the bytes of ``fft2``: the column pass over the whole stack, then the
+    row pass in row chunks on the pool. Each pool job owns some coarse
+    rows r and folds the multiplied spectrum rows ``r + a*ny/s`` onto
+    them, one axis at a time: each axis is multiplied by the twiddle
     ``exp(2j*pi*k*(s//2)/n)`` that shifts the samples to index 0 and its
-    ``s`` aliases of length ``n/s`` are summed. One (ny/s) x (nx/s)
-    inverse transform, scaled by ``1/s**2``, then gives the samples.
+    ``s`` aliases of length ``n/s`` are summed. A band of rows where
+    ``multiplier`` is all zero adds nothing, so its row pass is skipped. One
+    (ny/s) x (nx/s) inverse transform, scaled by ``1/s**2``, then gives
+    the samples.
     """
     batch, ny, nx = values.shape
     if stride < 1 or ny % stride or nx % stride:
@@ -128,33 +135,58 @@ def spectral_multiply(
     if out is None:
         out = np.empty(values.shape, np.complex128)
     if stride > 1:
-        my, mx = ny // stride, nx // stride
-        shift = TWO_PI * (stride // 2)
-        twiddle_y = np.exp(1j * shift * np.arange(ny) / ny)[:, None]
-        twiddle_x = np.exp(1j * shift * np.arange(nx) / nx)
-        sampled = np.empty((batch, my, mx), np.complex128)
+        return _sampled_sandwich(values, multiplier, out, stride)
 
     def sandwich(rows, workers, _):
         chunk = out[rows]
         if out is not values:
             chunk[...] = values[rows]
-        spectral_chunk(chunk, multiplier, workers, inverse=stride == 1)
-        if stride == 1:
+        spectral_chunk(chunk, multiplier, workers)
+
+    map_chunks(sandwich, values.shape)
+    return out
+
+
+def _sampled_sandwich(values, multiplier, out, stride: int) -> np.ndarray:
+    """:func:`spectral_multiply` at ``stride > 1``."""
+    batch, ny, nx = values.shape
+    my, mx = ny // stride, nx // stride
+    if out is not values:
+        np.copyto(out, values)
+    _fft.fft(out, axis=-2, overwrite_x=True, workers=FFT_WORKERS)
+    live = multiplier.any(axis=-1)
+    shift = TWO_PI * (stride // 2)
+    twiddle_y = np.exp(1j * shift * np.arange(ny) / ny)[:, None]
+    twiddle_x = np.exp(1j * shift * np.arange(nx) / nx)
+    sampled = np.empty((batch, my, mx), np.complex128)
+
+    def fold(rows, workers, _):  # coarse rows r, from spectrum rows r + a*my
+        r = range(my)[rows]
+        folded = None
+        for a in range(stride):
+            band = slice(r.start + a * my, r.stop + a * my)
+            if not live[band].any():
+                continue
+            spectrum = out[:, band]
+            _fft.fft(spectrum, axis=-1, overwrite_x=True, workers=workers)
+            np.multiply(spectrum, multiplier[band], out=spectrum)
+            np.multiply(spectrum, twiddle_y[band], out=spectrum)
+            if folded is None:
+                folded = spectrum
+            else:
+                np.add(folded, spectrum, out=folded)
+        coarse = sampled[:, rows]
+        if folded is None:
+            coarse[...] = 0.0
             return
-        np.multiply(chunk, twiddle_y, out=chunk)
-        folded = chunk[:, :my]
-        for a in range(1, stride):
-            np.add(folded, chunk[:, a * my : (a + 1) * my], out=folded)
         np.multiply(folded, twiddle_x, out=folded)
-        coarse = sampled[rows]
         coarse[...] = folded[:, :, :mx]
         for a in range(1, stride):
             np.add(coarse, folded[:, :, a * mx : (a + 1) * mx], out=coarse)
-        _fft.ifft2(coarse, axes=(-2, -1), overwrite_x=True, workers=workers)
-        np.multiply(coarse, 1.0 / stride**2, out=coarse)
 
-    map_chunks(sandwich, values.shape)
-    return out if stride == 1 else sampled
+    map_chunks(fold, (my,))
+    _fft.ifft2(sampled, axes=(-2, -1), overwrite_x=True, workers=FFT_WORKERS)
+    return np.multiply(sampled, 1.0 / stride**2, out=sampled)
 
 
 @dataclass(frozen=True, eq=False)

@@ -242,13 +242,18 @@ def test_realize_network_runs_no_recording_grid_inverse_transform(monkeypatch):
 def reference_hologram(layer, ref):
     """The fringe formula out of place, on the whole grid at once."""
     theta = carrier_phase_field(layer.grid, ref)
+    x = np.arange(layer.grid.nx) * layer.grid.pitch
+    y = np.arange(layer.grid.ny) * layer.grid.pitch
+    plain = 2 * np.pi * (ref.carrier[0] * x[None, :] + ref.carrier[1] * y[:, None])
+    assert theta.tobytes() == plain.tobytes()
     a_o, a_r = ref.object_amplitude, ref.reference_amplitude
     return a_o * a_o + a_r * a_r + 2.0 * a_o * a_r * np.cos(layer.phase - theta)
 
 
-@pytest.mark.parametrize("nx, ny", [(64, 48), (45, 33)])
-@pytest.mark.parametrize("threads", [2, None])
+@pytest.mark.parametrize("nx, ny", [(64, 48), (45, 33), (40, 150)])
+@pytest.mark.parametrize("threads", [1, 2, None])
 def test_hologram_matches_out_of_place_fringe(nx, ny, threads):
+    # each pool job builds its own rows of the carrier phase
     grid = GridSpec(nx, ny, 8e-6, 532e-9)
     nyquist = 1.0 / (2 * grid.pitch)
     ref = ReferenceSpec(1.3, 0.8, (nyquist / 4, -nyquist / 8))

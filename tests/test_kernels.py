@@ -11,6 +11,7 @@ differ in the last bit.
 
 import contextlib
 import multiprocessing
+import queue
 import threading
 import types
 from concurrent.futures import ThreadPoolExecutor
@@ -24,7 +25,13 @@ from donn import engine, propagation, training
 from donn.fields import GridSpec, encode_batch
 from donn.network import OpticalNetwork, random_init
 from donn.propagation import adjoint_propagate_array, propagate_array, transfer_function
-from donn.readout import DetectorLayout, batch_class_scores, default_detector_layout, softmax_cross_entropy
+from donn.readout import (
+    DegenerateScoresError,
+    DetectorLayout,
+    batch_class_scores,
+    default_detector_layout,
+    softmax_cross_entropy,
+)
 from synthdigits import make_dataset
 
 AXES = (-2, -1)
@@ -266,6 +273,39 @@ def test_batch_errors_name_the_sample_in_the_batch():
         bad[20] = 10
         with pytest.raises(IndexError, match="of sample 20 out of range"):
             engine.train_pass(net, images, bad, layout, 0.1, True, encode=training.DEFAULT_ENCODE)
+
+
+def _train_pass_with_a_dark_chunk(results):
+    grid = GridSpec(91, 91, 8e-6, 532e-9)
+    net = random_init(grid, 2, [0.01] * 2, 4)
+    images, labels = make_dataset(96, 6)
+    values = encode_batch(images / 255.0, grid, training.DEFAULT_ENCODE)
+    values[20] = 0.0  # no light reaches a detector: chunk 1 raises
+    with engine_threads(2):
+        try:
+            engine.train_pass(net, values, labels, default_detector_layout(grid), 0.1, True)
+            results.put("returned")
+        except DegenerateScoresError as error:
+            results.put(f"raised {type(error).__name__}")
+
+
+def test_failing_chunk_surfaces_and_holds_up_no_other():
+    # Six chunks on two jobs: chunk 1 fails, so its job never runs chunks 3
+    # and 5, whose turn to add gradient rows chunk 4 would wait for. The pass
+    # runs in a forked child so that a hang fails the test instead of the suite.
+    ctx = multiprocessing.get_context("fork")
+    results = ctx.Queue()
+    child = ctx.Process(target=_train_pass_with_a_dark_chunk, args=(results,))
+    child.start()
+    try:
+        outcome = results.get(timeout=60)
+    except queue.Empty:
+        outcome = "hung"
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+    assert outcome == "raised DegenerateScoresError"
 
 
 def _ones_through_pool():

@@ -3,7 +3,7 @@ import pytest
 import scipy.fft
 from hypothesis import given, settings, strategies as st
 
-from donn.fields import ComplexField, GridSpec, total_power
+from donn.fields import TWO_PI, ComplexField, GridSpec, frequency_coordinates, total_power
 from donn.propagation import (
     adjoint_propagate,
     adjoint_propagate_array,
@@ -16,6 +16,7 @@ from donn.propagation import (
     transfer_function,
 )
 from donn.scenes import gaussian_scene
+from test_kernels import engine_threads
 
 # pitch comparable to wavelength so the grid carries an evanescent band
 EVANESCENT_GRID = GridSpec(16, 16, 1e-6, 2.5e-6)
@@ -205,6 +206,70 @@ def test_strided_sandwich_samples_the_full_result(case, in_place):
         ).tobytes()
     if not in_place:
         assert values.tobytes() == before.tobytes()
+
+
+def ref_sampled_sandwich(values, multiplier, s):
+    """fft2, multiply, twiddle and fold each axis, coarse ifft2 / s**2: one whole-stack step at a time."""
+    ny, nx = values.shape[-2:]
+    my, mx = ny // s, nx // s
+    shift = TWO_PI * (s // 2)
+    spectrum = np.multiply(scipy.fft.fft2(values, axes=(-2, -1), workers=1), multiplier)
+    spectrum = np.multiply(spectrum, np.exp(1j * shift * np.arange(ny) / ny)[:, None])
+    folded = spectrum[:, :my]
+    for a in range(1, s):
+        folded = np.add(folded, spectrum[:, a * my : (a + 1) * my])
+    folded = np.multiply(folded, np.exp(1j * shift * np.arange(nx) / nx))
+    coarse = folded[:, :, :mx]
+    for a in range(1, s):
+        coarse = np.add(coarse, folded[:, :, a * mx : (a + 1) * mx])
+    return scipy.fft.ifft2(coarse, axes=(-2, -1), workers=1) / s**2
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_pooled_pruned_sandwich_keeps_the_serial_bytes(batch, threads):
+    # 272 rows: 34 to 136 coarse rows, so the fold runs in several chunks on
+    # both jobs; the windows leave whole rows dead, at the ends, in the middle
+    # and across every alias of some coarse rows, whose row pass is skipped
+    grid = GridSpec(40, 272, 1e-6, 0.5e-6)
+    fx, fy = frequency_coordinates(grid)
+    nyquist = 0.5 / grid.pitch
+    rng = np.random.default_rng(batch)
+    shape = (batch,) + grid.shape
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    multipliers = {
+        "disc": fx[None, :] ** 2 + fy[:, None] ** 2 <= (0.6 * nyquist) ** 2,
+        "off-centre disc": fx[None, :] ** 2 + (fy[:, None] - 0.5 * nyquist) ** 2 <= (0.2 * nyquist) ** 2,
+        "no dead rows": rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape),
+    }
+    assert not multipliers["disc"].any(axis=1).all()
+    assert not multipliers["off-centre disc"].any(axis=1)[0]
+    for name, multiplier in multipliers.items():
+        for s in (2, 4, 8):
+            expected = ref_sampled_sandwich(values, multiplier, s)
+            with engine_threads(threads):
+                got = spectral_multiply(values, multiplier, stride=s)
+                in_place = values.copy()
+                aliased = spectral_multiply(in_place, multiplier, out=in_place, stride=s)
+            assert got.tobytes() == expected.tobytes(), (name, s)
+            assert aliased.tobytes() == expected.tobytes(), (name, s)
+
+
+@pytest.mark.parametrize("batch, ny, nx", [(1, 48, 40), (3, 45, 33), (2, 91, 91), (1, 728, 64)])
+def test_fft2_is_its_column_pass_then_its_row_pass(batch, ny, nx):
+    # The strided sandwich splits fft2 into its two passes and runs the row
+    # pass on some rows only. Both must keep fft2's bytes; a scipy.fft
+    # release that breaks either fails here.
+    rng = np.random.default_rng(ny * nx)
+    shape = (batch, ny, nx)
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    whole = scipy.fft.fft2(x, axes=(-2, -1))
+    for workers in (1, 2):
+        columns = scipy.fft.fft(x, axis=-2, workers=workers)
+        assert scipy.fft.fft(columns, axis=-1, workers=workers).tobytes() == whole.tobytes()
+        for rows in (slice(0, 1), slice(3, 20), slice(ny - 7, ny), slice(1, ny - 1)):
+            part = scipy.fft.fft(columns[:, rows], axis=-1, workers=workers)
+            assert part.tobytes() == whole[:, rows].tobytes(), rows
 
 
 def test_strided_sandwich_rejects_a_stride_not_dividing_the_grid():
